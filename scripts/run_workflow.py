@@ -22,9 +22,9 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args()
 
-    cfg = parse_config(args.config)
+    cfg = parse_config(args.config, args.seed)
     out = Path(args.out)
-    reports = pipeline.run_all(cfg, out, args.seed)
+    reports = pipeline.run_all(cfg, out)
 
     print(f"{'stage':<10} {'ms':>9}  metrics")
     for stage, report in reports.items():

@@ -41,14 +41,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = cfgmod.parse_config(args.config)
+        cfg = cfgmod.parse_config(args.config, args.seed)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         if args.stage == "run":
-            reports = pipeline.run_all(cfg, out, args.seed)
+            reports = pipeline.run_all(cfg, out)
             report = reports["clean"]
         else:
-            report = pipeline.STAGE_FUNCS[args.stage](cfg, out, args.seed)
+            report = pipeline.STAGE_FUNCS[args.stage](cfg, out)
         if report.get("metrics", {}).get("converged") is False:
             print("warning: solver did not converge within max_iters",
                   file=sys.stderr)

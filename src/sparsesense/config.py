@@ -12,38 +12,135 @@ Example:
     osp.s = 10
     train.window = 50
 
-Unknown keys are rejected up front so typos fail loudly.  Builders below
-turn sections into the typed configs of the science modules.
+`parse_config` casts and validates the whole file into one frozen
+`RunConfig` before any stage runs.  Every key is named once, in `KEYS`;
+an absent key keeps the default of the field it sets.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, fields, replace
+
 from .decompose import RpcaConfig
-from .errors import ValidationError
+from .errors import ConstraintError, ValidationError
 from .forecast import TrainConfig
 from .synth import GroundTruthSpec, Scenario, ScenarioSpec
 
-_KNOWN_KEYS = {
-    "synth.m", "synth.n", "synth.rank", "synth.seed", "synth.smoothness",
-    "synth.amplitude", "synth.scenario", "synth.noise_std", "synth.n_outliers",
-    "synth.outlier_lo_min", "synth.outlier_lo_max",
-    "synth.outlier_hi_min", "synth.outlier_hi_max",
-    "synth.corruption_fraction", "synth.corruption_min", "synth.corruption_max",
-    "synth.per_frame", "synth.dt", "synth.time_jitter",
-    "rpca.lambda", "rpca.mu", "rpca.max_iters", "rpca.tol", "rpca.mu_growth",
-    "osp.r", "osp.s",
-    "train.window", "train.horizon", "train.learning_rate", "train.epochs",
-    "train.batch_size", "train.seed", "train.hidden_dim", "train.dense_dim",
-    "train.dropout", "train.clip_norm", "train.val_fraction",
-    "train.interpolate", "train.dt", "train.holdout",
-    "evaluate.pgm", "evaluate.frame_height", "evaluate.frame_width",
-    "evaluate.truth", "evaluate.baseline",
+
+@dataclass(frozen=True)
+class RunConfig:
+    """The typed sections of the science modules, then the values the
+    pipeline stages read.  s defaults to r and holdout to train.horizon."""
+
+    ground_truth: GroundTruthSpec = GroundTruthSpec(m=2000, n=1000, rank=10)
+    scenario: ScenarioSpec = ScenarioSpec()
+    rpca: RpcaConfig = RpcaConfig()
+    train: TrainConfig = TrainConfig()
+    r: int = 10                      # spatial modes
+    s: int | None = None             # sensors
+    dt: float = 0.5                  # mean spacing of the synthetic timestamps
+    time_jitter: float = 0.0         # uniform relative perturbation of each gap
+    holdout: int | None = None       # trailing frames kept out of training
+    interpolate: bool = False        # resample the training series uniformly
+    train_dt: float = 0.5            # spacing of that uniform grid
+    pgm: bool = False                # dump first and last forecast frames
+    frame_height: int | None = None  # None: one column of m pixels
+    frame_width: int = 1
+    truth: str | None = None         # None: the synth stage's truth matrix
+    baseline: str | None = None      # per-step RMSE CSV to compare against
+
+    def __post_init__(self):
+        if self.s is None:
+            object.__setattr__(self, "s", self.r)
+        if self.holdout is None:
+            object.__setattr__(self, "holdout", self.train.horizon)
+
+    def validate(self) -> None:
+        gt = self.ground_truth
+        gt.validate()
+        self.scenario.validate(gt.m, gt.n)
+        self.rpca.validate()
+        self.train.validate()
+        if not 1 <= self.r <= self.s:
+            raise ConstraintError(f"need 1 <= osp.r <= osp.s, got r={self.r}, s={self.s}")
+        if not (self.dt > 0 and self.train_dt > 0 and 0.0 <= self.time_jitter < 1.0):
+            raise ValidationError(
+                "need synth.dt > 0, train.dt > 0 and synth.time_jitter in [0, 1)")
+        if self.holdout < 1:
+            raise ValidationError("train.holdout must be at least 1")
+        if self.frame_width < 1 or self.frame_height is not None and self.frame_height < 1:
+            raise ValidationError("evaluate.frame_height and frame_width must be positive")
+
+
+_BOOLS = {"true": True, "1": True, "yes": True, "on": True,
+          "false": False, "0": False, "no": False, "off": False}
+
+
+def _bool(raw: str) -> bool:
+    return _BOOLS[raw.lower()]
+
+
+def _auto(raw: str) -> float | None:
+    return None if raw == "auto" else float(raw)
+
+
+# key -> (cast, target, ...): a target is a RunConfig field, or a section
+# field as "section.field", or a tuple entry as "section.field.index"
+KEYS = {
+    "synth.m": (int, "ground_truth.m"), "synth.n": (int, "ground_truth.n"),
+    "synth.rank": (int, "ground_truth.rank"),
+    "synth.smoothness": (float, "ground_truth.smoothness"),
+    "synth.amplitude": (float, "ground_truth.amplitude"),
+    "synth.seed": (int, "ground_truth.seed", "scenario.seed"),
+    "synth.scenario": (lambda raw: Scenario(int(raw)), "scenario.scenario"),
+    "synth.noise_std": (float, "scenario.noise_std"),
+    "synth.n_outliers": (int, "scenario.n_outliers"),
+    "synth.outlier_hi_min": (float, "scenario.outlier_ranges.0.0"),
+    "synth.outlier_hi_max": (float, "scenario.outlier_ranges.0.1"),
+    "synth.outlier_lo_min": (float, "scenario.outlier_ranges.1.0"),
+    "synth.outlier_lo_max": (float, "scenario.outlier_ranges.1.1"),
+    "synth.corruption_fraction": (float, "scenario.corruption_fraction"),
+    "synth.corruption_min": (float, "scenario.corruption_interval.0"),
+    "synth.corruption_max": (float, "scenario.corruption_interval.1"),
+    "synth.per_frame": (_bool, "scenario.per_frame"),
+    "synth.dt": (float, "dt"), "synth.time_jitter": (float, "time_jitter"),
+    "rpca.lambda": (_auto, "rpca.lam"), "rpca.mu": (_auto, "rpca.mu"),
+    "rpca.max_iters": (int, "rpca.max_iters"), "rpca.tol": (float, "rpca.tol"),
+    "osp.r": (int, "r"), "osp.s": (int, "s"),
+    "train.window": (int, "train.window"), "train.horizon": (int, "train.horizon"),
+    "train.learning_rate": (float, "train.learning_rate"),
+    "train.epochs": (int, "train.epochs"), "train.seed": (int, "train.seed"),
+    "train.batch_size": (int, "train.batch_size"),
+    "train.hidden_dim": (int, "train.hidden_dim"),
+    "train.dense_dim": (int, "train.dense_dim"),
+    "train.dropout": (float, "train.dropout"),
+    "train.clip_norm": (float, "train.clip_norm"),
+    "train.val_fraction": (float, "train.val_fraction"),
+    "train.interpolate": (_bool, "interpolate"), "train.dt": (float, "train_dt"),
+    "train.holdout": (int, "holdout"),
+    "evaluate.pgm": (_bool, "pgm"),
+    "evaluate.frame_height": (int, "frame_height"),
+    "evaluate.frame_width": (int, "frame_width"),
+    "evaluate.truth": (str, "truth"), "evaluate.baseline": (str, "baseline"),
 }
 
 
-def parse_config(path) -> dict[str, str]:
-    values: dict[str, str] = {}
-    with open(path) as fh:
+def _set(obj, path: list[str], value):
+    """obj with the item at path replaced by value."""
+    if not path:
+        return value
+    head, *rest = path
+    if head.isdigit():
+        i = int(head)
+        return (*obj[:i], _set(obj[i], rest, value), *obj[i + 1:])
+    return replace(obj, **{head: _set(getattr(obj, head), rest, value)})
+
+
+def parse_config(path, seed: int | None = None) -> RunConfig:
+    """Read, cast and validate a config file; a seed given here overrides
+    synth.seed and train.seed."""
+    raw: dict[str, str] = {}
+    with open(path, encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
@@ -51,85 +148,22 @@ def parse_config(path) -> dict[str, str]:
             if "=" not in stripped:
                 raise ValidationError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (part.strip() for part in stripped.split("=", 1))
-            if key not in _KNOWN_KEYS:
+            if key not in KEYS:
                 raise ValidationError(f"{path}:{lineno}: unknown key '{key}'")
-            values[key] = value
-    return values
+            raw[key] = value
+    if seed is not None:
+        raw.update({"synth.seed": str(seed), "train.seed": str(seed)})
 
-
-def _get(cfg: dict[str, str], key: str, cast, default):
-    if key not in cfg:
-        return default
-    raw = cfg[key]
-    try:
-        return cast(raw)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"config key '{key}': bad value '{raw}'") from exc
-
-
-def _bool(raw: str) -> bool:
-    lowered = raw.lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(raw)
-
-
-def ground_truth_spec(cfg: dict[str, str], seed: int | None = None) -> GroundTruthSpec:
-    return GroundTruthSpec(
-        m=_get(cfg, "synth.m", int, 2000),
-        n=_get(cfg, "synth.n", int, 1000),
-        rank=_get(cfg, "synth.rank", int, 10),
-        smoothness=_get(cfg, "synth.smoothness", float, 0.08),
-        amplitude=_get(cfg, "synth.amplitude", float, 10.0),
-        seed=seed if seed is not None else _get(cfg, "synth.seed", int, 0),
-    )
-
-
-def scenario_spec(cfg: dict[str, str], seed: int | None = None) -> ScenarioSpec:
-    pos = (_get(cfg, "synth.outlier_hi_min", float, 30.0),
-           _get(cfg, "synth.outlier_hi_max", float, 40.0))
-    neg = (_get(cfg, "synth.outlier_lo_min", float, -40.0),
-           _get(cfg, "synth.outlier_lo_max", float, -30.0))
-    return ScenarioSpec(
-        scenario=Scenario(_get(cfg, "synth.scenario", int, 1)),
-        noise_std=_get(cfg, "synth.noise_std", float, 4.0),
-        n_outliers=_get(cfg, "synth.n_outliers", int, 100),
-        outlier_ranges=(pos, neg),
-        corruption_fraction=_get(cfg, "synth.corruption_fraction", float, 0.10),
-        corruption_interval=(_get(cfg, "synth.corruption_min", float, -15.0),
-                             _get(cfg, "synth.corruption_max", float, 30.0)),
-        seed=seed if seed is not None else _get(cfg, "synth.seed", int, 0),
-        per_frame=_get(cfg, "synth.per_frame", _bool, True),
-    )
-
-
-def rpca_config(cfg: dict[str, str]) -> RpcaConfig:
-    lam_raw = cfg.get("rpca.lambda", "auto")
-    mu_raw = cfg.get("rpca.mu", "auto")
-    lam = None if lam_raw == "auto" else float(lam_raw)
-    mu = None if mu_raw == "auto" else float(mu_raw)
-    return RpcaConfig(
-        lam=lam,
-        mu=mu,
-        max_iters=_get(cfg, "rpca.max_iters", int, 500),
-        tol=_get(cfg, "rpca.tol", float, 1e-7),
-        mu_growth=_get(cfg, "rpca.mu_growth", float, 1.0),
-    )
-
-
-def train_config(cfg: dict[str, str], seed: int | None = None) -> TrainConfig:
-    return TrainConfig(
-        window=_get(cfg, "train.window", int, 50),
-        horizon=_get(cfg, "train.horizon", int, 100),
-        learning_rate=_get(cfg, "train.learning_rate", float, 1e-4),
-        epochs=_get(cfg, "train.epochs", int, 100),
-        batch_size=_get(cfg, "train.batch_size", int, 32),
-        seed=seed if seed is not None else _get(cfg, "train.seed", int, 0),
-        hidden_dim=_get(cfg, "train.hidden_dim", int, 128),
-        dense_dim=_get(cfg, "train.dense_dim", int, 128),
-        dropout=_get(cfg, "train.dropout", float, 0.2),
-        clip_norm=_get(cfg, "train.clip_norm", float, 5.0),
-        val_fraction=_get(cfg, "train.val_fraction", float, 0.2),
-    )
+    values = {f.name: f.default for f in fields(RunConfig)}
+    for key, text in raw.items():
+        cast, *targets = KEYS[key]
+        try:
+            value = cast(text)
+        except (LookupError, TypeError, ValueError) as exc:
+            raise ValidationError(f"config key '{key}': bad value '{text}'") from exc
+        for target in targets:
+            name, *path = target.split(".")
+            values[name] = _set(values[name], path, value)
+    cfg = RunConfig(**values)
+    cfg.validate()
+    return cfg

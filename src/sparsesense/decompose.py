@@ -7,8 +7,7 @@ The robust solver alternates the two proximal steps
     S <- shrink(X - L + Lambda/mu, lambda/mu)
     Lambda <- Lambda + mu * (X - L - S)
 
-with a fixed penalty mu per run (an optional geometric growth factor
-exists but is off by default).
+with a fixed penalty mu per run.
 """
 
 from __future__ import annotations
@@ -28,26 +27,22 @@ class RpcaConfig:
     lam: sparsity weight; None selects the scale-free 1/sqrt(max(m, n)).
     mu: penalty; None selects m*n / (4 * ||X||_1).  A fixed value such as
         1e-5 may be supplied to reproduce a specific study.
-    mu_growth: per-iteration multiplier on mu; 1.0 keeps mu fixed.
     """
 
     lam: float | None = None
     mu: float | None = None
     max_iters: int = 500
     tol: float = 1e-7
-    mu_growth: float = 1.0
 
     def validate(self) -> None:
-        if self.lam is not None and self.lam <= 0:
+        if self.lam is not None and not self.lam > 0:
             raise ValidationError("lam must be positive")
-        if self.mu is not None and self.mu <= 0:
+        if self.mu is not None and not self.mu > 0:
             raise ValidationError("mu must be positive")
         if not 0 < self.tol < 1:
             raise ValidationError("tol must lie in (0, 1)")
         if self.max_iters < 1:
             raise ValidationError("max_iters must be at least 1")
-        if self.mu_growth < 1.0:
-            raise ValidationError("mu_growth must be >= 1")
 
 
 @dataclass
@@ -105,7 +100,6 @@ def rpca(X, cfg: RpcaConfig | None = None) -> RpcaResult:
         if res <= cfg.tol:
             converged = True
             break
-        mu *= cfg.mu_growth
     return RpcaResult(L=L, S=S, iterations=iterations,
                       residual_history=history, converged=converged)
 

@@ -19,6 +19,7 @@ de-normalized on the way out.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -30,6 +31,8 @@ _MODEL_MAGIC = b"LSTM"
 _MODEL_VERSION = 1
 
 _PARAM_ORDER = ("Wx", "Wh", "b", "Wd", "bd", "Wo", "bo")
+
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -65,9 +68,6 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 32
     seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     hidden_dim: int = 128
     dense_dim: int = 128
     dropout: float = 0.2
@@ -77,12 +77,14 @@ class TrainConfig:
     def validate(self) -> None:
         if self.window < 1 or self.horizon < 1:
             raise ValidationError("window and horizon must be at least 1")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ValidationError("learning_rate must be positive")
         if not 0.0 <= self.dropout < 1.0:
             raise ValidationError("dropout must lie in [0, 1)")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValidationError("epochs and batch_size must be positive")
+        if min(self.hidden_dim, self.dense_dim) < 1 or not 0.0 <= self.val_fraction < 1.0:
+            raise ValidationError("need hidden_dim, dense_dim >= 1 and val_fraction in [0, 1)")
 
 
 @dataclass
@@ -317,14 +319,14 @@ class AdamState:
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
              cfg: TrainConfig) -> None:
         self.t += 1
-        b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+        b1, b2 = _ADAM_BETA1, _ADAM_BETA2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         for k, g in grads.items():
             self.m[k] = b1 * self.m[k] + (1.0 - b1) * g
             self.v[k] = b2 * self.v[k] + (1.0 - b2) * g * g
             params[k] -= cfg.learning_rate * (self.m[k] / bc1) / (
-                np.sqrt(self.v[k] / bc2) + cfg.adam_eps)
+                np.sqrt(self.v[k] / bc2) + _ADAM_EPS)
 
 
 def train(ts: TimeSeries, cfg: TrainConfig) -> tuple[LstmModel, list[float]]:
@@ -414,27 +416,28 @@ def save_model(model: LstmModel, path) -> None:
 def load_model(path) -> LstmModel:
     with open(path, "rb") as fh:
         raw = fh.read()
-    if raw[:4] != _MODEL_MAGIC:
+    off = 4 + 18
+    if len(raw) < off + 8 or raw[:4] != _MODEL_MAGIC:
         raise ValidationError(f"{path}: not a model file")
     version, s, H, D, out_dim = struct.unpack_from("<HIIII", raw, 4)
     if version != _MODEL_VERSION:
         raise ValidationError(f"{path}: unsupported model version {version}")
-    off = 4 + 18
+    shapes = {"Wx": (s, 4 * H), "Wh": (H, 4 * H), "b": (4 * H,),
+              "Wd": (H, D), "bd": (D,), "Wo": (D, out_dim), "bo": (out_dim,)}
+    counts = {name: math.prod(shape) for name, shape in shapes.items()}
+    if len(raw) != off + 8 * (1 + 2 * s + sum(counts.values())):
+        raise ValidationError(f"{path}: payload length does not match the header")
     (dropout,) = struct.unpack_from("<d", raw, off)
     off += 8
     mean = np.frombuffer(raw, dtype="<f8", count=s, offset=off).copy()
     off += 8 * s
     std = np.frombuffer(raw, dtype="<f8", count=s, offset=off).copy()
     off += 8 * s
-    shapes = {"Wx": (s, 4 * H), "Wh": (H, 4 * H), "b": (4 * H,),
-              "Wd": (H, D), "bd": (D,), "Wo": (D, out_dim), "bo": (out_dim,)}
     params = {}
     for name in _PARAM_ORDER:
-        shape = shapes[name]
-        count = int(np.prod(shape))
-        params[name] = np.frombuffer(raw, dtype="<f8", count=count,
-                                     offset=off).reshape(shape).copy()
-        off += 8 * count
+        params[name] = np.frombuffer(raw, dtype="<f8", count=counts[name],
+                                     offset=off).reshape(shapes[name]).copy()
+        off += 8 * counts[name]
     return LstmModel(input_dim=s, hidden_dim=H, dense_dim=D, output_dim=out_dim,
                      params=params, dropout_rate=dropout,
                      norm_mean=mean, norm_std=std)

@@ -149,12 +149,14 @@ def save_basis(basis: SensorBasis, path) -> None:
 def load_basis(path) -> SensorBasis:
     with open(path, "rb") as fh:
         raw = fh.read()
-    if raw[:4] != _BASIS_MAGIC:
+    off = 4 + 14
+    if len(raw) < off or raw[:4] != _BASIS_MAGIC:
         raise ValidationError(f"{path}: not a sensor-basis file")
     version, m, r, s = struct.unpack_from("<HIII", raw, 4)
     if version != _BASIS_VERSION:
         raise ValidationError(f"{path}: unsupported basis version {version}")
-    off = 4 + 14
+    if len(raw) != off + 8 * m * r + 4 * s + 8 * r * s:
+        raise ValidationError(f"{path}: payload length does not match the header")
     modes = np.frombuffer(raw, dtype="<f8", count=m * r, offset=off).reshape(m, r)
     off += 8 * m * r
     indices = np.frombuffer(raw, dtype="<u4", count=s, offset=off).astype(np.int64)

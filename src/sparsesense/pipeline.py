@@ -12,13 +12,12 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from . import config as cfgmod
 from . import decompose, forecast, matio, osp, synth
+from .config import RunConfig
 from .errors import ValidationError
 from .rng import Xoshiro256pp
 
@@ -72,28 +71,24 @@ def _write_csv(path: Path, header: str, rows) -> None:
             fh.write("\n")
 
 
-def _sample_times(cfg: dict[str, str], n: int, seed: int) -> np.ndarray:
-    """Timestamps with average spacing synth.dt; synth.time_jitter in
-    [0, 1) perturbs each gap uniformly for irregular sampling."""
-    dt = cfgmod._get(cfg, "synth.dt", float, 0.5)
-    jitter = cfgmod._get(cfg, "synth.time_jitter", float, 0.0)
-    if not 0.0 <= jitter < 1.0:
-        raise ValidationError("synth.time_jitter must lie in [0, 1)")
-    gaps = np.full(n - 1, dt) if n > 1 else np.empty(0)
-    if jitter > 0.0 and n > 1:
-        rng = Xoshiro256pp(seed ^ 0x74696D65)
-        gaps = gaps * (1.0 + jitter * (2.0 * np.array(
+def _sample_times(cfg: RunConfig) -> np.ndarray:
+    """Timestamps with average spacing synth.dt; synth.time_jitter
+    perturbs each gap uniformly for irregular sampling."""
+    n = cfg.ground_truth.n
+    gaps = np.full(n - 1, cfg.dt) if n > 1 else np.empty(0)
+    if cfg.time_jitter > 0.0 and n > 1:
+        rng = Xoshiro256pp(cfg.ground_truth.seed ^ 0x74696D65)
+        gaps = gaps * (1.0 + cfg.time_jitter * (2.0 * np.array(
             [rng.random() for _ in range(n - 1)]) - 1.0))
     return np.concatenate([[0.0], np.cumsum(gaps)])
 
 
-def cmd_synth(cfg: dict[str, str], out: Path, seed: int | None = None) -> dict:
+def cmd_synth(cfg: RunConfig, out: Path) -> dict:
     t0 = time.perf_counter()
-    gt_spec = cfgmod.ground_truth_spec(cfg, seed)
-    sc_spec = cfgmod.scenario_spec(cfg, seed)
+    gt_spec, sc_spec = cfg.ground_truth, cfg.scenario
     truth = synth.generate_ground_truth(gt_spec)
     perturbed, mask = synth.apply_scenario(truth, sc_spec)
-    times = _sample_times(cfg, truth.shape[1], gt_spec.seed)
+    times = _sample_times(cfg)
     matio.write_matrix(truth, out / TRUTH_FILE)
     matio.write_matrix(perturbed, out / PERTURBED_FILE)
     matio.write_matrix(mask.astype(np.float64), out / MASK_FILE)
@@ -101,23 +96,22 @@ def cmd_synth(cfg: dict[str, str], out: Path, seed: int | None = None) -> dict:
     metrics = {"m": gt_spec.m, "n": gt_spec.n, "rank": gt_spec.rank,
                "scenario": int(sc_spec.scenario), "masked": int(mask.sum())}
     if sc_spec.scenario is synth.Scenario.SUPERPOSITION:
-        # the composed mask is the union of the per-component masks; the
-        # components reuse the same substreams, so they can be re-derived
-        component_masked = {}
-        for component in (synth.Scenario.NOISE, synth.Scenario.OUTLIERS,
-                          synth.Scenario.CORRUPTIONS):
-            _, cmask = synth.apply_scenario(
-                truth, replace(sc_spec, scenario=component))
-            component_masked[component.name.lower()] = int(cmask.sum())
-        metrics["component_masked"] = component_masked
+        # the composed mask is the union of the per-component masks; each
+        # component marks a fixed number of distinct positions per frame
+        # (the whole matrix is one frame when per_frame is off)
+        rows, frames = ((gt_spec.m, gt_spec.n) if sc_spec.per_frame
+                        else (gt_spec.m * gt_spec.n, 1))
+        metrics["component_masked"] = {
+            "noise": 0, "outliers": sc_spec.n_outliers * frames,
+            "corruptions": round(sc_spec.corruption_fraction * rows) * frames}
     return _write_report(out, "synth", (time.perf_counter() - t0) * 1e3, metrics,
                          [TRUTH_FILE, PERTURBED_FILE, MASK_FILE, TIMESTAMPS_FILE])
 
 
-def cmd_clean(cfg: dict[str, str], out: Path, seed: int | None = None) -> dict:
+def cmd_clean(cfg: RunConfig, out: Path) -> dict:
     t0 = time.perf_counter()
     X = matio.read_matrix(out / PERTURBED_FILE)
-    result = decompose.rpca(X, cfgmod.rpca_config(cfg))
+    result = decompose.rpca(X, cfg.rpca)
     matio.write_matrix(result.L, out / CLEAN_L_FILE)
     matio.write_matrix(result.S, out / CLEAN_S_FILE)
     _write_csv(out / RESIDUALS_FILE, "iteration,residual",
@@ -129,85 +123,70 @@ def cmd_clean(cfg: dict[str, str], out: Path, seed: int | None = None) -> dict:
                          [CLEAN_L_FILE, CLEAN_S_FILE, RESIDUALS_FILE])
 
 
-def cmd_compress(cfg: dict[str, str], out: Path, seed: int | None = None) -> dict:
+def cmd_compress(cfg: RunConfig, out: Path) -> dict:
     t0 = time.perf_counter()
     L = matio.read_matrix(out / CLEAN_L_FILE)
-    r = cfgmod._get(cfg, "osp.r", int, 10)
-    s = cfgmod._get(cfg, "osp.s", int, r)
-    basis = osp.fit_basis(L, r, s)
+    basis = osp.fit_basis(L, cfg.r, cfg.s)
     series = osp.compress(L, basis)
     osp.save_basis(basis, out / BASIS_FILE)
     matio.write_matrix(series.Y, out / MEASUREMENTS_FILE)
-    metrics = {"r": r, "s": s,
+    metrics = {"r": cfg.r, "s": cfg.s,
                "sensor_indices": [int(i) for i in basis.sensor_indices],
-               "compression_ratio": osp.compression_ratio(basis.m, s)}
+               "compression_ratio": osp.compression_ratio(basis.m, cfg.s)}
     return _write_report(out, "compress", (time.perf_counter() - t0) * 1e3,
                          metrics, [BASIS_FILE, MEASUREMENTS_FILE])
 
 
-def _training_series(cfg: dict[str, str], out: Path,
-                     train_cfg: forecast.TrainConfig) -> forecast.TimeSeries:
+def _training_series(cfg: RunConfig, out: Path) -> forecast.TimeSeries:
     """Measurement series restricted to the training span, interpolated to
     a uniform grid when train.interpolate is set."""
-    Y = matio.read_matrix(out / MEASUREMENTS_FILE)
-    values = Y.T
-    times_path = out / TIMESTAMPS_FILE
-    if times_path.exists():
-        times = matio.read_matrix_csv(times_path)[:, 0]
-    else:
-        times = 0.5 * np.arange(values.shape[0])
-    holdout = cfgmod._get(cfg, "train.holdout", int, train_cfg.horizon)
-    if holdout >= values.shape[0]:
+    values = matio.read_matrix(out / MEASUREMENTS_FILE).T
+    times = matio.read_matrix_csv(out / TIMESTAMPS_FILE)[:, 0]
+    if cfg.holdout >= values.shape[0]:
         raise ValidationError("train.holdout leaves no training samples")
-    cut = values.shape[0] - holdout
+    cut = values.shape[0] - cfg.holdout
     ts = forecast.TimeSeries(timestamps=times[:cut], values=values[:cut])
-    if cfgmod._get(cfg, "train.interpolate", cfgmod._bool, False):
-        dt = cfgmod._get(cfg, "train.dt", float, 0.5)
-        ts = forecast.interpolate_uniform(ts, dt)
+    if cfg.interpolate:
+        ts = forecast.interpolate_uniform(ts, cfg.train_dt)
     return ts
 
 
-def cmd_train(cfg: dict[str, str], out: Path, seed: int | None = None) -> dict:
+def cmd_train(cfg: RunConfig, out: Path) -> dict:
     t0 = time.perf_counter()
-    train_cfg = cfgmod.train_config(cfg, seed)
-    ts = _training_series(cfg, out, train_cfg)
-    model, history = forecast.train(ts, train_cfg)
+    ts = _training_series(cfg, out)
+    model, history = forecast.train(ts, cfg.train)
     forecast.save_model(model, out / MODEL_FILE)
     _write_csv(out / HISTORY_FILE, "epoch,train_rmse",
                [(i + 1, r) for i, r in enumerate(history)])
-    metrics = {"epochs": train_cfg.epochs, "final_train_rmse": history[-1],
+    metrics = {"epochs": cfg.train.epochs, "final_train_rmse": history[-1],
                "samples": len(ts)}
     return _write_report(out, "train", (time.perf_counter() - t0) * 1e3, metrics,
                          [MODEL_FILE, HISTORY_FILE])
 
 
-def cmd_predict(cfg: dict[str, str], out: Path, seed: int | None = None) -> dict:
+def cmd_predict(cfg: RunConfig, out: Path) -> dict:
     t0 = time.perf_counter()
-    train_cfg = cfgmod.train_config(cfg, seed)
+    window, horizon = cfg.train.window, cfg.train.horizon
     model = forecast.load_model(out / MODEL_FILE)
     basis = osp.load_basis(out / BASIS_FILE)
-    ts = _training_series(cfg, out, train_cfg)
-    if len(ts) < train_cfg.window:
+    ts = _training_series(cfg, out)
+    if len(ts) < window:
         raise ValidationError("training span shorter than one window")
-    seed_window = ts.values[-train_cfg.window:]
-    preds = forecast.predict_multistep(model, seed_window, train_cfg.horizon)
+    preds = forecast.predict_multistep(model, ts.values[-window:], horizon)
     pred_sparse = preds.T                       # (s, horizon)
     pred_full = osp.reconstruct(pred_sparse, basis)
     matio.write_matrix(pred_sparse, out / PRED_SPARSE_FILE)
     matio.write_matrix(pred_full, out / PRED_FULL_FILE)
-    metrics = {"horizon": train_cfg.horizon}
+    metrics = {"horizon": horizon}
     return _write_report(out, "predict", (time.perf_counter() - t0) * 1e3,
                          metrics, [PRED_SPARSE_FILE, PRED_FULL_FILE])
 
 
-def cmd_evaluate(cfg: dict[str, str], out: Path, seed: int | None = None) -> dict:
+def cmd_evaluate(cfg: RunConfig, out: Path) -> dict:
     t0 = time.perf_counter()
-    train_cfg = cfgmod.train_config(cfg, seed)
     pred_full = matio.read_matrix(out / PRED_FULL_FILE)
-    truth_path = Path(cfg.get("evaluate.truth", out / TRUTH_FILE))
-    truth = matio.read_matrix(truth_path)
-    holdout = cfgmod._get(cfg, "train.holdout", int, train_cfg.horizon)
-    start = truth.shape[1] - holdout
+    truth = matio.read_matrix(cfg.truth or out / TRUTH_FILE)
+    start = truth.shape[1] - cfg.holdout
     horizon = min(pred_full.shape[1], truth.shape[1] - start)
     if pred_full.shape[0] != truth.shape[0]:
         raise ValidationError("prediction and truth have different spatial dimension")
@@ -227,16 +206,15 @@ def cmd_evaluate(cfg: dict[str, str], out: Path, seed: int | None = None) -> dic
 
     metrics: dict = {"mean_rmse": float(np.mean(per_step)),
                      "final_rmse": per_step[-1]}
-    baseline_path = cfg.get("evaluate.baseline")
-    if baseline_path:
-        base = matio.read_matrix_csv(baseline_path)  # reuse header format
+    if cfg.baseline:
+        base = matio.read_matrix_csv(cfg.baseline)  # reuse header format
         k = min(len(per_step), base.shape[0])
         metrics["fraction_not_worse"] = float(
             np.mean(np.asarray(per_step[:k]) <= base[:k, 1]))
 
-    if cfgmod._get(cfg, "evaluate.pgm", cfgmod._bool, False):
-        height = cfgmod._get(cfg, "evaluate.frame_height", int, pred_full.shape[0])
-        width = cfgmod._get(cfg, "evaluate.frame_width", int, 1)
+    if cfg.pgm:
+        height = cfg.frame_height or pred_full.shape[0]
+        width = cfg.frame_width
         if height * width != pred_full.shape[0]:
             raise ValidationError("frame_height * frame_width must equal m")
         frames_dir = out / "frames"
@@ -262,10 +240,10 @@ STAGE_FUNCS = {
 }
 
 
-def run_all(cfg: dict[str, str], out: Path, seed: int | None = None) -> dict[str, dict]:
+def run_all(cfg: RunConfig, out: Path) -> dict[str, dict]:
     """Run every stage in order; returns the per-stage reports."""
     out.mkdir(parents=True, exist_ok=True)
-    return {stage: STAGE_FUNCS[stage](cfg, out, seed) for stage in _STAGES}
+    return {stage: STAGE_FUNCS[stage](cfg, out) for stage in _STAGES}
 
 
 def combined_manifest(reports: dict[str, dict]) -> dict[str, str]:

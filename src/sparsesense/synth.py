@@ -48,7 +48,7 @@ class GroundTruthSpec:
             raise ValidationError("dimensions must be positive")
         if not 1 <= self.rank <= min(self.m, self.n):
             raise BoundsError(f"rank {self.rank} outside [1, {min(self.m, self.n)}]")
-        if self.smoothness <= 0:
+        if not self.smoothness > 0:
             raise ValidationError("smoothness must be positive")
 
 
@@ -74,7 +74,7 @@ class ScenarioSpec:
         limit = m if self.per_frame else m * n
         if self.scenario in (Scenario.OUTLIERS, Scenario.SUPERPOSITION) and self.n_outliers > limit:
             raise ValidationError(f"n_outliers {self.n_outliers} exceeds {limit} available entries")
-        if self.noise_std < 0:
+        if not self.noise_std >= 0:
             raise ValidationError("noise_std must be nonnegative")
 
 

@@ -310,7 +310,7 @@ def test_criterion_8_end_to_end_determinism(tmp_path, report):
     for run in range(2):
         out = tmp_path / f"run{run}"
         t0 = time.perf_counter()
-        reports = pipeline.run_all(cfg, out, seed=None)
+        reports = pipeline.run_all(cfg, out)
         runtimes.append(time.perf_counter() - t0)
         manifests.append(pipeline.combined_manifest(reports))
     ok = manifests[0] == manifests[1] and max(runtimes) <= 300.0

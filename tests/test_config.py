@@ -1,12 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sparsesense.config import (
-    ground_truth_spec,
-    parse_config,
-    rpca_config,
-    scenario_spec,
-    train_config,
-)
+from sparsesense.config import KEYS, RunConfig, parse_config
 from sparsesense.errors import ValidationError
 from sparsesense.synth import Scenario
 
@@ -28,8 +23,9 @@ rpca.mu = auto
 osp.r = 10
 """)
     cfg = parse_config(path)
-    assert cfg == {"synth.m": "100", "synth.n": "50",
-                   "rpca.lambda": "0.006", "rpca.mu": "auto", "osp.r": "10"}
+    assert (cfg.ground_truth.m, cfg.ground_truth.n) == (100, 50)
+    assert cfg.rpca.lam == 0.006 and cfg.rpca.mu is None
+    assert cfg.r == 10
 
 
 def test_parse_rejects_unknown_key(tmp_path):
@@ -45,12 +41,12 @@ def test_parse_rejects_missing_equals(tmp_path):
 
 
 def test_ground_truth_spec_defaults_and_overrides(tmp_path):
-    spec = ground_truth_spec(parse_config(write_cfg(tmp_path, "")))
+    spec = parse_config(write_cfg(tmp_path, "")).ground_truth
     assert (spec.m, spec.n, spec.rank, spec.seed) == (2000, 1000, 10, 0)
-    cfg = parse_config(write_cfg(tmp_path, "synth.m = 64\nsynth.seed = 9\n"))
-    spec = ground_truth_spec(cfg)
+    path = write_cfg(tmp_path, "synth.m = 64\nsynth.seed = 9\n")
+    spec = parse_config(path).ground_truth
     assert spec.m == 64 and spec.seed == 9
-    assert ground_truth_spec(cfg, seed=3).seed == 3  # CLI seed wins
+    assert parse_config(path, seed=3).ground_truth.seed == 3  # CLI seed wins
 
 
 def test_scenario_spec_fields(tmp_path):
@@ -59,29 +55,72 @@ synth.scenario = 2
 synth.n_outliers = 7
 synth.per_frame = false
 """))
-    spec = scenario_spec(cfg)
+    spec = cfg.scenario
     assert spec.scenario is Scenario.OUTLIERS
     assert spec.n_outliers == 7
     assert spec.per_frame is False
     assert spec.outlier_ranges == ((30.0, 40.0), (-40.0, -30.0))
 
 
+def test_range_keys_set_their_end_of_the_range(tmp_path):
+    spec = parse_config(write_cfg(tmp_path, """
+synth.outlier_lo_min = -50
+synth.outlier_hi_max = 45
+synth.corruption_max = 20
+""")).scenario
+    assert spec.outlier_ranges == ((30.0, 45.0), (-50.0, -30.0))
+    assert spec.corruption_interval == (-15.0, 20.0)
+
+
 def test_rpca_config_auto_and_explicit(tmp_path):
     cfg = parse_config(write_cfg(tmp_path, "rpca.lambda = auto\nrpca.mu = 1e-5\n"))
-    rc = rpca_config(cfg)
+    rc = cfg.rpca
     assert rc.lam is None and rc.mu == 1e-5
     assert rc.max_iters == 500 and rc.tol == 1e-7
 
 
 def test_train_config_defaults_match_reference_setup(tmp_path):
-    tc = train_config(parse_config(write_cfg(tmp_path, "")))
+    tc = parse_config(write_cfg(tmp_path, "")).train
     assert (tc.window, tc.horizon, tc.hidden_dim, tc.dense_dim) == (50, 100, 128, 128)
     assert tc.learning_rate == 1e-4 and tc.epochs == 100 and tc.dropout == 0.2
-    tc = train_config(parse_config(write_cfg(tmp_path, "train.epochs = 3\n")), seed=5)
+    tc = parse_config(write_cfg(tmp_path, "train.epochs = 3\n"), seed=5).train
     assert tc.epochs == 3 and tc.seed == 5
 
 
+def test_seeds_and_pipeline_defaults(tmp_path):
+    path = write_cfg(tmp_path, "synth.seed = 4\ntrain.seed = 6\n"
+                               "osp.r = 3\ntrain.horizon = 20\n")
+    cfg = parse_config(path)
+    assert (cfg.ground_truth.seed, cfg.scenario.seed, cfg.train.seed) == (4, 4, 6)
+    assert cfg.s == 3 and cfg.holdout == 20  # s follows r, holdout the horizon
+    cfg = parse_config(path, seed=8)
+    assert (cfg.ground_truth.seed, cfg.scenario.seed, cfg.train.seed) == (8, 8, 8)
+
+
 def test_bad_value_reports_key(tmp_path):
-    cfg = parse_config(write_cfg(tmp_path, "synth.m = lots\n"))
+    path = write_cfg(tmp_path, "synth.m = lots\n")
     with pytest.raises(ValidationError, match="synth.m"):
-        ground_truth_spec(cfg)
+        parse_config(path)
+
+
+_VALUE_TEXT = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+    st.integers(-10**6, 10**6).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["auto", "true", "off", "maybe", "", "1e999", "-0", "7"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=st.dictionaries(st.sampled_from(sorted(KEYS)), _VALUE_TEXT,
+                               max_size=4))
+def test_any_value_text_gives_run_config_or_validation_error(tmp_path_factory,
+                                                             entries):
+    path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()),
+                    encoding="utf-8")
+    try:
+        cfg = parse_config(path)
+    except ValidationError:
+        return
+    assert isinstance(cfg, RunConfig)

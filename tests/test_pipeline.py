@@ -37,7 +37,7 @@ def workspace(tmp_path_factory):
     cfg_path.write_text(SMALL_CFG)
     out = root / "out"
     cfg = parse_config(cfg_path)
-    reports = pipeline.run_all(cfg, out, seed=None)
+    reports = pipeline.run_all(cfg, out)
     return cfg_path, cfg, out, reports
 
 
@@ -75,34 +75,39 @@ def test_synth_outputs_and_report(workspace):
 
 
 def test_superposition_report_lists_component_masks(tmp_path):
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(SMALL_CFG.replace("synth.scenario = 2",
-                                          "synth.scenario = 4"))
-    cfg = parse_config(cfg_path)
-    report = pipeline.cmd_synth(cfg, tmp_path)
-    comp = report["metrics"]["component_masked"]
-    assert set(comp) == {"noise", "outliers", "corruptions"}
-    assert comp["noise"] == 0          # additive noise is never masked
-    assert comp["outliers"] == 6 * 80
-    assert comp["corruptions"] == round(0.10 * 60) * 80
-    # composed mask can be smaller than the sum when components overlap
-    assert max(comp.values()) <= report["metrics"]["masked"] \
-        <= comp["outliers"] + comp["corruptions"]
+    # per frame: 6 outliers and round(0.10 * 60) corruptions in each of the
+    # 80 frames; one flattened draw: 6 and round(0.10 * 60 * 80) in total
+    for per_frame, outliers, corruptions in ((True, 6 * 80, round(0.10 * 60) * 80),
+                                             (False, 6, round(0.10 * 60 * 80))):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(SMALL_CFG.replace("synth.scenario = 2",
+                                              "synth.scenario = 4")
+                            + f"synth.per_frame = {str(per_frame).lower()}\n")
+        cfg = parse_config(cfg_path)
+        report = pipeline.cmd_synth(cfg, tmp_path)
+        comp = report["metrics"]["component_masked"]
+        assert set(comp) == {"noise", "outliers", "corruptions"}
+        assert comp["noise"] == 0          # additive noise is never masked
+        assert comp["outliers"] == outliers
+        assert comp["corruptions"] == corruptions
+        # composed mask can be smaller than the sum when components overlap
+        assert max(comp.values()) <= report["metrics"]["masked"] \
+            <= comp["outliers"] + comp["corruptions"]
 
 
 def test_rerun_manifests_byte_identical(workspace, tmp_path):
     cfg_path, cfg, out, reports = workspace
     out2 = tmp_path / "rerun"
     out2.mkdir()
-    reports2 = pipeline.run_all(cfg, out2, seed=None)
+    reports2 = pipeline.run_all(cfg, out2)
     assert pipeline.combined_manifest(reports) == pipeline.combined_manifest(reports2)
 
 
 def test_seed_override_changes_outputs(workspace, tmp_path):
-    _, cfg, out, reports = workspace
+    cfg_path, _, out, reports = workspace
     out2 = tmp_path / "seeded"
     out2.mkdir()
-    reports2 = pipeline.run_all(cfg, out2, seed=99)
+    reports2 = pipeline.run_all(parse_config(cfg_path, seed=99), out2)
     m1 = pipeline.combined_manifest(reports)
     m2 = pipeline.combined_manifest(reports2)
     assert m1[pipeline.TRUTH_FILE] != m2[pipeline.TRUTH_FILE]
@@ -202,6 +207,38 @@ def test_cli_training_divergence_exit_3(workspace, tmp_path, capsys):
                                      "train.learning_rate = 1e200")
                    + "train.clip_norm = 0\n")
     assert cli.main(["train", "--config", str(hot), "--out", str(out)]) == 3
+
+
+@pytest.mark.parametrize("bad_line", [
+    "rpca.lambda = abc",
+    "synth.scenario = 7",
+    "rpca.mu = -1",
+    "rpca.lambda = nan",
+    "train.learning_rate = nan",
+    "osp.s = 1",                  # below osp.r = 2
+    "train.interpolate = maybe",
+    "train.window = 0",
+    "rpca.mu_growth = 1.5",       # no longer a key
+])
+def test_cli_bad_config_value_exit_2_before_any_stage(tmp_path, capsys, bad_line):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(SMALL_CFG + bad_line + "\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert not list(tmp_path.rglob("report_*.json"))
+
+
+@pytest.mark.parametrize("artifact", [pipeline.MODEL_FILE, pipeline.BASIS_FILE])
+@pytest.mark.parametrize("keep", [10, -8])  # inside the header, inside the payload
+def test_cli_truncated_artifact_exit_2(workspace, tmp_path, capsys, artifact, keep):
+    cfg_path, _, out = mutable_copy(workspace, tmp_path)
+    path = out / artifact
+    path.write_bytes(path.read_bytes()[:keep])
+    assert cli.main(["predict", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
 
 
 def test_cli_missing_input_exit_4(tmp_path, capsys):
