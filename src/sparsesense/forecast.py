@@ -71,7 +71,7 @@ class TrainConfig:
     hidden_dim: int = 128
     dense_dim: int = 128
     dropout: float = 0.2
-    clip_norm: float = 5.0
+    clip_norm: float = 5.0     # global gradient-norm cap; 0 switches clipping off
     val_fraction: float = 0.2
 
     def validate(self) -> None:
@@ -85,6 +85,8 @@ class TrainConfig:
             raise ValidationError("epochs and batch_size must be positive")
         if min(self.hidden_dim, self.dense_dim) < 1 or not 0.0 <= self.val_fraction < 1.0:
             raise ValidationError("need hidden_dim, dense_dim >= 1 and val_fraction in [0, 1)")
+        if not 0.0 <= self.clip_norm < math.inf:
+            raise ValidationError("clip_norm must be finite and nonnegative (0 = off)")
 
 
 @dataclass

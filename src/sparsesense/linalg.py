@@ -1,12 +1,14 @@
-"""Dense linear-algebra kernels: truncated SVD, pivoted QR, pseudoinverse,
-and the two proximal operators (entrywise soft threshold, singular value
-threshold) used by the low-rank/sparse solver.
+"""Dense linear-algebra kernels: truncated SVD, a top-k SVD, pivoted QR,
+pseudoinverse, and the two proximal operators (entrywise soft threshold,
+singular value threshold) used by the low-rank/sparse solver.
 
 SVD and pseudoinverse are backed by LAPACK through numpy; factors are
 post-processed with a fixed sign convention (largest-magnitude entry of
 each left singular vector positive) so repeated runs produce identical
-factors.  Pivoted QR is implemented directly so the column tie-break rule
-is fully specified rather than platform-dependent.
+factors.  The top-k SVD is a block subspace iteration whose random start
+columns come from a fixed seed, so it too is deterministic.  Pivoted QR is
+implemented directly so the column tie-break rule is fully specified
+rather than platform-dependent.
 """
 
 from __future__ import annotations
@@ -16,12 +18,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundsError, DegenerateInputError, ValidationError
+from .rng import substream
 
 #: relative norm gap below which two pivot candidates count as tied
 PIVOT_TIE_RTOL = 1e-12
 
 #: default relative cutoff for small singular values in the pseudoinverse
 DEFAULT_RCOND = 1e-12
+
+#: columns the top-k SVD carries past the count it is asked for
+TOPK_MARGIN = 5
+
+#: the top-k SVD stops once the residual of the wanted triplets is this
+#: small relative to the largest singular value
+TOPK_RTOL = 1e-10
+
+#: seed of the top-k SVD's random-sign start columns
+TOPK_SEED = 0x746F706B
 
 
 def validate_matrix(A, name: str = "matrix") -> np.ndarray:
@@ -43,6 +56,11 @@ class SvdFactors:
     U: np.ndarray
     singular_values: np.ndarray
     V: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """Shape of the matrix the factors reconstruct."""
+        return self.U.shape[0], self.V.shape[0]
 
     def reconstruct(self) -> np.ndarray:
         return (self.U * self.singular_values) @ self.V.T
@@ -83,18 +101,82 @@ def soft_threshold(x, tau: float):
     if tau < 0:
         raise ValidationError("threshold must be nonnegative")
     x = np.asarray(x, dtype=np.float64)
-    out = np.sign(x) * np.maximum(np.abs(x) - tau, 0.0)
+    out = x - np.clip(x, -tau, tau)
     return float(out) if out.ndim == 0 else out
 
 
-def singular_value_threshold(A, tau: float) -> np.ndarray:
-    """Shrink the singular values of A by tau (proximal step of the nuclear norm)."""
+def _sign_columns(n: int, first: int, stop: int) -> np.ndarray:
+    """Columns first..stop-1 of a fixed n-row matrix of random signs.
+    Column j is drawn from its own substream of TOPK_SEED, so it does not
+    depend on how many columns are asked for."""
+    words = -(-n // 64)
+    cols = np.empty((n, stop - first))
+    for c, j in enumerate(range(first, stop)):
+        rng = substream(TOPK_SEED, j)
+        bits = np.array([rng.next_u64() for _ in range(words)], dtype="<u8")
+        cols[:, c] = 1.0 - 2.0 * np.unpackbits(bits.view(np.uint8), bitorder="little")[:n]
+    return cols
+
+
+def svd_topk(A, k: int, tau: float | None = None,
+             start: np.ndarray | None = None) -> SvdFactors:
+    """Leading singular triplets of A by block subspace iteration with a
+    Rayleigh-Ritz step per sweep (Halko, Martinsson & Tropp 2011).
+
+    Without tau: the top k triplets.  With tau: every triplet whose value
+    exceeds tau, k being the guessed count.  The block holds k + TOPK_MARGIN
+    columns: the orthonormal columns of `start` (say, right singular
+    vectors of a nearby matrix) and then fixed random signs.  It doubles
+    while its smallest value is above tau.  A sweep ends the iteration once
+    ||A v_i - s_i u_i|| over the wanted triplets, and with tau the first
+    one below it, is at most TOPK_RTOL * s_1 (A^T u_i = s_i v_i holds
+    exactly after Rayleigh-Ritz).  Each sweep costs about 4 m n b flops for
+    a block of b columns, against some 4 m n min(m, n) for a full SVD, so
+    the full SVD is taken instead once the next sweep would bring the
+    columns swept past min(m, n) / 2.
+    """
+    A = validate_matrix(A)
+    n = A.shape[1]
+    block = k + TOPK_MARGIN
+    V = np.empty((n, 0)) if start is None else start
+    Y = A @ V
+    swept = 0
+    while swept + block <= min(A.shape) // 2:
+        pad = _sign_columns(n, V.shape[1], block)
+        V, Y = np.hstack([V, pad]), np.hstack([Y, A @ pad])
+        Q, _ = np.linalg.qr(Y)
+        Ub, s, Vt = np.linalg.svd(Q.T @ A, full_matrices=False)
+        U, V = Q @ Ub, Vt.T
+        Y = A @ V
+        swept += block
+        if tau is not None and s[-1] > tau:
+            block *= 2
+            continue
+        wanted = k if tau is None else int(np.count_nonzero(s > tau))
+        resid = np.linalg.norm(Y - U * s, axis=0)
+        converged = np.linalg.norm(resid[:wanted]) <= TOPK_RTOL * s[0]
+        if tau is not None:
+            # the first triplet below tau must be surely below it, or a
+            # value still rising past tau would be missed
+            converged &= resid[wanted] <= max(TOPK_RTOL * s[0], tau - s[wanted])
+        if converged:
+            return SvdFactors(U=U[:, :wanted], singular_values=s[:wanted],
+                              V=V[:, :wanted])
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    wanted = k if tau is None else int(np.count_nonzero(s > tau))
+    return SvdFactors(U=U[:, :wanted], singular_values=s[:wanted], V=Vt[:wanted].T)
+
+
+def singular_value_threshold(A, tau: float, start: SvdFactors | None = None) -> SvdFactors:
+    """Shrink the singular values of A by tau (proximal step of the nuclear
+    norm).  Returns the factors of the result: the triplets of A above tau,
+    found by `svd_topk` warm-started from `start`, a previous result on a
+    nearby matrix, with their values reduced by tau."""
     if tau < 0:
         raise ValidationError("threshold must be nonnegative")
-    A = validate_matrix(A)
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    s = np.maximum(s - tau, 0.0)
-    return (U * s) @ Vt
+    f = (svd_topk(A, 0, tau) if start is None
+         else svd_topk(A, start.singular_values.size, tau, start.V))
+    return SvdFactors(U=f.U, singular_values=f.singular_values - tau, V=f.V)
 
 
 def qr_column_pivot(A) -> tuple[np.ndarray, np.ndarray]:

@@ -114,8 +114,10 @@ def cmd_clean(cfg: RunConfig, out: Path) -> dict:
     result = decompose.rpca(X, cfg.rpca)
     matio.write_matrix(result.L, out / CLEAN_L_FILE)
     matio.write_matrix(result.S, out / CLEAN_S_FILE)
-    _write_csv(out / RESIDUALS_FILE, "iteration,residual",
-               [(i + 1, r) for i, r in enumerate(result.residual_history)])
+    _write_csv(out / RESIDUALS_FILE, "iteration,residual,mu,kept,dual_residual",
+               [(i + 1, *row) for i, row in enumerate(zip(
+                   result.residual_history, result.mu_history, result.kept_history,
+                   result.dual_history))])
     metrics = {"iterations": result.iterations,
                "converged": result.converged,
                "final_residual": result.residual_history[-1]}

@@ -67,8 +67,8 @@ class ScenarioSpec:
         if not 0.0 <= self.corruption_fraction <= 1.0:
             raise ValidationError("corruption_fraction must lie in [0, 1]")
         for lo, hi in (*self.outlier_ranges, self.corruption_interval):
-            if lo > hi:
-                raise ValidationError(f"interval ({lo}, {hi}) is not ordered")
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+                raise ValidationError(f"interval ({lo}, {hi}) needs finite ends with lo <= hi")
         if self.n_outliers < 0:
             raise ValidationError("n_outliers must be nonnegative")
         limit = m if self.per_frame else m * n

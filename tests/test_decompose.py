@@ -1,7 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sparsesense.decompose import RpcaConfig, clean, pca_reconstruct, rpca
+from sparsesense import decompose
+from sparsesense.decompose import (
+    MU_BALANCE,
+    MU_CAP,
+    MU_GROWTH,
+    MU_SCALE,
+    RpcaConfig,
+    clean,
+    pca_reconstruct,
+    rpca,
+)
 from sparsesense.errors import BoundsError, ValidationError
 from sparsesense.rng import Xoshiro256pp
 from sparsesense.synth import GroundTruthSpec, Scenario, ScenarioSpec, apply_scenario, generate_ground_truth
@@ -108,6 +119,73 @@ def test_rpca_fixed_penalty_parameters_accepted():
     L0, S0, _ = low_rank_plus_sparse(seed=9, m=60, n=40, rank=2)
     res = rpca(L0 + S0, RpcaConfig(lam=0.006, mu=1e-5, max_iters=5))
     assert res.iterations == 5
+
+
+def test_rpca_capped_penalty_schedule_and_kept_counts():
+    L0, S0, _ = low_rank_plus_sparse(seed=11, m=120, n=80, rank=3)
+    X = L0 + S0
+    res = rpca(X)
+    assert res.converged
+    assert res.residual_history[-1] <= 1e-7
+    n_iter = res.iterations
+    assert len(res.dual_history) == len(res.mu_history) == len(res.kept_history) == n_iter
+    mu0 = res.mu_history[0]
+    assert mu0 == pytest.approx(MU_SCALE / np.linalg.norm(X, 2), rel=1e-10)
+    for i in range(n_iter - 1):
+        grows = res.dual_history[i] <= MU_BALANCE * res.residual_history[i]
+        want = min(MU_GROWTH * res.mu_history[i], MU_CAP * mu0) if grows else res.mu_history[i]
+        assert res.mu_history[i + 1] == want
+    assert res.mu_history[-1] > mu0
+    assert res.kept_history[-1] == 3
+    # a configured mu is mu_0 of the same schedule
+    fixed = rpca(X, RpcaConfig(mu=1e-3, max_iters=4))
+    assert fixed.mu_history == pytest.approx([1e-3, 1.5e-3, 2.25e-3, 3.375e-3], rel=1e-15)
+
+
+def test_rpca_mu_stops_at_the_cap(monkeypatch):
+    monkeypatch.setattr(decompose, "MU_CAP", 5.0)
+    L0, S0, _ = low_rank_plus_sparse(seed=12, m=60, n=40, rank=2)
+    res = rpca(L0 + S0, RpcaConfig(tol=1e-300, max_iters=30))
+    assert not res.converged
+    assert max(res.mu_history) == 5.0 * res.mu_history[0] == res.mu_history[-1]
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(30, 90), n=st.integers(20, 70),
+       rank=st.integers(1, 4), frac=st.floats(0.0, 0.1))
+def test_rpca_converged_means_small_residual_and_low_rank(seed, m, n, rank, frac):
+    # the fault a growing penalty invites: `converged` reported on a
+    # high-rank L whose primal residual is small only because mu is large
+    L0, S0, _ = low_rank_plus_sparse(seed, m=m, n=n, rank=rank, frac=frac)
+    X = L0 + S0
+    cfg = RpcaConfig(tol=1e-7)
+    res = rpca(X, cfg)
+    if res.converged:
+        assert np.linalg.norm(X - res.L - res.S) / np.linalg.norm(X) <= cfg.tol
+        assert np.linalg.matrix_rank(res.L) <= min(m, n) / 2
+
+
+@pytest.mark.parametrize("seed", [1, 2, 4])
+def test_rpca_converges_on_rank_10_seeds_the_fixed_penalty_missed(seed):
+    # 400 x 200, rank 10, 5 % outliers per frame (the desk_scale proportion):
+    # a fixed penalty mu = m n / (4 ||X||_1) hit max_iters = 500 at these seeds
+    G = generate_ground_truth(GroundTruthSpec(m=400, n=200, rank=10, seed=seed))
+    X, _ = apply_scenario(G, ScenarioSpec(scenario=Scenario.OUTLIERS, n_outliers=20, seed=seed))
+    res = rpca(X, RpcaConfig(tol=1e-7, max_iters=500))
+    assert res.converged
+    assert np.linalg.norm(res.L - G) / np.linalg.norm(G) <= 1e-6
+
+
+def test_rpca_holds_mu_where_growing_it_would_freeze_the_iterate():
+    # the tests' small pipeline input: growing mu every iteration stopped
+    # at a relative error of 9e-3 with converged=True; holding it while the
+    # dual residual lags reaches the truth
+    G = generate_ground_truth(GroundTruthSpec(m=60, n=80, rank=2, seed=3))
+    X, _ = apply_scenario(G, ScenarioSpec(scenario=Scenario.OUTLIERS, n_outliers=6, seed=3))
+    res = rpca(X)
+    assert res.converged
+    assert np.linalg.norm(res.L - G) / np.linalg.norm(G) <= 1e-6
+    assert any(b == a for a, b in zip(res.mu_history, res.mu_history[1:]))
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sparsesense.errors import BoundsError, DegenerateInputError, ValidationError
 from sparsesense.linalg import (
+    TOPK_MARGIN,
     pseudoinverse,
     qr_column_pivot,
     singular_value_threshold,
     soft_threshold,
+    svd_topk,
     svd_truncated,
 )
 
@@ -158,13 +160,13 @@ def test_soft_threshold_rejects_negative_tau():
 
 def test_svt_diagonal():
     np.testing.assert_allclose(
-        singular_value_threshold(np.diag([5.0, 1.0]), 2.0),
+        singular_value_threshold(np.diag([5.0, 1.0]), 2.0).reconstruct(),
         np.diag([3.0, 0.0]), atol=1e-12)
 
 
 def test_svt_zero_threshold_is_identity():
     A = np.random.default_rng(2).standard_normal((4, 6))
-    np.testing.assert_allclose(singular_value_threshold(A, 0.0), A, atol=1e-10)
+    np.testing.assert_allclose(singular_value_threshold(A, 0.0).reconstruct(), A, atol=1e-10)
 
 
 def test_svt_matches_eigh_built_svd_oracle():
@@ -177,17 +179,127 @@ def test_svt_matches_eigh_built_svd_oracle():
     V = V[:, order]
     U = A @ V / sv
     oracle = (U * np.maximum(sv - tau, 0.0)) @ V.T
-    np.testing.assert_allclose(singular_value_threshold(A, tau), oracle, atol=1e-10)
+    np.testing.assert_allclose(singular_value_threshold(A, tau).reconstruct(), oracle,
+                               atol=1e-10)
 
 
 def test_svt_shifts_singular_values():
     A = np.random.default_rng(4).standard_normal((6, 5))
     tau = 0.8
-    out = singular_value_threshold(A, tau)
+    out = singular_value_threshold(A, tau).reconstruct()
     sv_in = np.linalg.svd(A, compute_uv=False)
     sv_out = np.linalg.svd(out, compute_uv=False)
     np.testing.assert_allclose(sv_out, np.maximum(sv_in - tau, 0.0), atol=1e-10)
     assert sv_out.sum() <= sv_in.sum() + 1e-10
+
+
+def svt_by_full_svd(A, tau):
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    return (U * np.maximum(s - tau, 0.0)) @ Vt
+
+
+def matrix_with_spectrum(m, n, s, seed):
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.standard_normal((m, s.size)))
+    V, _ = np.linalg.qr(rng.standard_normal((n, s.size)))
+    return (U * s) @ V.T
+
+
+SPECTRA = {
+    "spread": lambda rng, q: np.sort(rng.exponential(1.0, q))[::-1],
+    "clustered": lambda rng, q: np.sort(1.0 + 1e-3 * rng.random(q))[::-1],
+    "geometric": lambda rng, q: np.geomspace(1.0, 1e-8, q),
+    "rank_deficient": lambda rng, q: np.where(np.arange(q) < rng.integers(1, q + 1),
+                                              np.sort(rng.random(q))[::-1], 0.0),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.integers(2, 60), n=st.integers(2, 60), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(sorted(SPECTRA)), pick=st.floats(0.0, 1.0),
+       shift=st.floats(0.8, 1.2), log_scale=st.floats(-6.0, 6.0), warm=st.booleans())
+def test_topk_svt_matches_full_svd_thresholding(m, n, seed, kind, pick, shift,
+                                                log_scale, warm):
+    # tau lands near one of A's singular values, so every kept count occurs;
+    # the warm start comes from a perturbed copy, as in the solver's loop
+    rng = np.random.default_rng(seed)
+    q = min(m, n)
+    A = matrix_with_spectrum(m, n, SPECTRA[kind](rng, q), seed) * 10.0 ** log_scale
+    sv = np.linalg.svd(A, compute_uv=False)
+    tau = float(sv[int(pick * (q - 1))] * shift)
+    start = None
+    if warm:
+        start = singular_value_threshold(A * (1 + 1e-3 * rng.standard_normal(A.shape)), tau)
+    got = singular_value_threshold(A, tau, start)
+    assert got.shape == A.shape
+    # relative to sigma_1, the scale of any SVD's backward error
+    assert np.linalg.norm(got.reconstruct() - svt_by_full_svd(A, tau)) <= 1e-9 * sv[0]
+
+
+def count_full_svds(monkeypatch, A):
+    """Shapes of the LAPACK SVDs taken of a matrix shaped like A; the
+    Rayleigh-Ritz SVDs are of smaller blocks."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(B, **kwargs):
+        if B.shape == A.shape:
+            calls.append(B.shape)
+        return svd(B, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return calls
+
+
+def test_topk_svt_doubles_the_block_past_the_guess(monkeypatch):
+    # 30 values above tau against a first block of TOPK_MARGIN columns: the
+    # block doubles to 40 and the iteration converges without a full SVD
+    s = np.concatenate([np.linspace(10.0, 5.0, 30), np.linspace(0.05, 0.01, 570)])
+    A = matrix_with_spectrum(800, 600, s, seed=1)
+    calls = count_full_svds(monkeypatch, A)
+    got = singular_value_threshold(A, 2.0)
+    assert TOPK_MARGIN < 30 and calls == []
+    assert got.singular_values.size == 30
+    np.testing.assert_allclose(got.singular_values, s[:30] - 2.0, rtol=1e-12)
+    assert np.linalg.norm(got.reconstruct() - svt_by_full_svd(A, 2.0)) <= 1e-9 * s[0]
+
+
+def test_topk_svt_is_exact_once_the_block_reaches_min_dim(monkeypatch):
+    # tau = 0 keeps every value, so the block outgrows min(m, n)
+    A = np.random.default_rng(6).standard_normal((40, 12))
+    calls = count_full_svds(monkeypatch, A)
+    got = singular_value_threshold(A, 0.0)
+    assert calls == [(40, 12)] and got.singular_values.size == 12
+    np.testing.assert_allclose(got.reconstruct(), A, atol=1e-12)
+
+
+def test_topk_svt_keeps_a_value_just_above_tau():
+    # the first sweep's Ritz value sits below tau although sigma_1 is above
+    # it; stopping on the (empty) kept set alone would return nothing
+    s = np.array([1.005, 0.9, 0.86, 0.68, 0.5, 0.4, 0.3, 0.2, 0.1, 0.05, 0.01, 0.0])
+    A = matrix_with_spectrum(15, 18, s, seed=3)
+    got = singular_value_threshold(A, 1.0)
+    assert got.singular_values.size == 1
+    np.testing.assert_allclose(got.singular_values, [0.005], rtol=1e-8)
+
+
+def test_topk_warm_start_reuses_the_kept_block():
+    # the warm block is a good guess: same kept count, same answer
+    A = matrix_with_spectrum(90, 70, np.geomspace(100.0, 0.01, 70), seed=2)
+    cold = singular_value_threshold(A, 1.0)
+    warm = singular_value_threshold(A, 1.0, cold)
+    assert warm.singular_values.size == cold.singular_values.size
+    np.testing.assert_allclose(warm.reconstruct(), cold.reconstruct(), atol=1e-9 * 100.0)
+
+
+def test_topk_spectral_norm_and_determinism():
+    A = np.random.default_rng(9).standard_normal((70, 50))
+    f = svd_topk(A, 1)
+    assert f.singular_values.size == 1
+    np.testing.assert_allclose(f.singular_values[0], np.linalg.norm(A, 2), rtol=1e-10)
+    g = svd_topk(A.copy(), 1)
+    np.testing.assert_array_equal(f.U, g.U)
+    np.testing.assert_array_equal(f.V, g.V)
 
 
 # ----------------------------------------------------------------------

@@ -65,6 +65,21 @@ def test_run_all_produces_every_artifact(workspace):
                             "predict", "evaluate"}
 
 
+def test_clean_residuals_trace_each_iteration(workspace):
+    _, _, out, reports = workspace
+    lines = (out / pipeline.RESIDUALS_FILE).read_text().splitlines()
+    assert lines[0] == "iteration,residual,mu,kept,dual_residual"
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) == reports["clean"]["metrics"]["iterations"]
+    assert [int(r[0]) for r in rows] == list(range(1, len(rows) + 1))
+    assert float(rows[-1][1]) == reports["clean"]["metrics"]["final_residual"]
+    mus = [float(r[2]) for r in rows]
+    assert all(b in (a, 1.5 * a) for a, b in zip(mus, mus[1:]))
+    assert int(rows[-1][3]) == 2  # the rank of the synthetic truth
+    assert "clean_S.rbdm" in reports["clean"]["manifest"]
+    assert pipeline.RESIDUALS_FILE in reports["clean"]["manifest"]
+
+
 def test_synth_outputs_and_report(workspace):
     _, _, out, reports = workspace
     assert (out / pipeline.TRUTH_FILE).stat().st_size == 16 + 8 * 60 * 80
@@ -219,6 +234,10 @@ def test_cli_training_divergence_exit_3(workspace, tmp_path, capsys):
     "train.interpolate = maybe",
     "train.window = 0",
     "rpca.mu_growth = 1.5",       # no longer a key
+    "synth.outlier_hi_min = nan",
+    "synth.outlier_hi_max = inf",
+    "train.clip_norm = nan",
+    "train.clip_norm = -1",
 ])
 def test_cli_bad_config_value_exit_2_before_any_stage(tmp_path, capsys, bad_line):
     cfg_path = tmp_path / "run.cfg"
