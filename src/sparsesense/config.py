@@ -47,7 +47,6 @@ class RunConfig:
     frame_height: int | None = None  # None: one column of m pixels
     frame_width: int = 1
     truth: str | None = None         # None: the synth stage's truth matrix
-    baseline: str | None = None      # per-step RMSE CSV to compare against
 
     def __post_init__(self):
         if self.s is None:
@@ -121,7 +120,7 @@ KEYS = {
     "evaluate.pgm": (_bool, "pgm"),
     "evaluate.frame_height": (int, "frame_height"),
     "evaluate.frame_width": (int, "frame_width"),
-    "evaluate.truth": (str, "truth"), "evaluate.baseline": (str, "baseline"),
+    "evaluate.truth": (str, "truth"),
 }
 
 

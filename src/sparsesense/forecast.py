@@ -47,8 +47,8 @@ class TimeSeries:
         v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 2 or t.ndim != 1 or t.shape[0] != v.shape[0]:
             raise ValidationError("timestamps and values are inconsistent")
-        if np.any(np.diff(t) < 0):
-            raise ValidationError("timestamps must be nondecreasing")
+        if not np.all(np.isfinite(t)) or np.any(np.diff(t) < 0):
+            raise ValidationError("timestamps must be finite and nondecreasing")
         object.__setattr__(self, "timestamps", t)
         object.__setattr__(self, "values", v)
 

@@ -1,14 +1,13 @@
-"""Dense linear-algebra kernels: truncated SVD, a top-k SVD, pivoted QR,
-pseudoinverse, and the two proximal operators (entrywise soft threshold,
-singular value threshold) used by the low-rank/sparse solver.
+"""Dense linear-algebra kernels: one top-k SVD, pivoted QR, pseudoinverse,
+and the two proximal operators (entrywise soft threshold, singular value
+threshold) used by the low-rank/sparse solver.
 
-SVD and pseudoinverse are backed by LAPACK through numpy; factors are
-post-processed with a fixed sign convention (largest-magnitude entry of
-each left singular vector positive) so repeated runs produce identical
-factors.  The top-k SVD is a block subspace iteration whose random start
-columns come from a fixed seed, so it too is deterministic.  Pivoted QR is
-implemented directly so the column tie-break rule is fully specified
-rather than platform-dependent.
+The truncated SVD and the threshold share one kernel, `svd_topk`: a block
+subspace iteration from fixed-seed random columns, so deterministic; the
+truncated SVD also forces the largest-magnitude entry of each left
+singular vector positive.  The pseudoinverse takes LAPACK's SVD through
+numpy.  Pivoted QR is implemented directly so the column tie-break rule
+is fully specified rather than platform-dependent.
 """
 
 from __future__ import annotations
@@ -66,34 +65,25 @@ class SvdFactors:
         return (self.U * self.singular_values) @ self.V.T
 
 
-def _fix_signs(U: np.ndarray, Vt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _fix_signs(U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Largest-magnitude entry of each U column forced positive; the matching
-    # V row is flipped with it so the product is unchanged.
+    # V column is flipped with it so the product is unchanged.
     for j in range(U.shape[1]):
         i = int(np.argmax(np.abs(U[:, j])))
         if U[i, j] < 0:
             U[:, j] = -U[:, j]
-            Vt[j, :] = -Vt[j, :]
-    return U, Vt
-
-
-def svd_compact(A: np.ndarray) -> SvdFactors:
-    """Full economy-size SVD with the deterministic sign convention."""
-    A = validate_matrix(A)
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    U, Vt = _fix_signs(U.copy(), Vt.copy())
-    return SvdFactors(U=U, singular_values=s, V=Vt.T)
+            V[:, j] = -V[:, j]
+    return U, V
 
 
 def svd_truncated(A, r: int) -> SvdFactors:
-    """Top-r singular triplets of A."""
+    """Top-r singular triplets of A, signs fixed."""
     A = validate_matrix(A)
     if not 1 <= r <= min(A.shape):
         raise BoundsError(f"rank {r} outside [1, {min(A.shape)}]")
-    f = svd_compact(A)
-    return SvdFactors(U=f.U[:, :r].copy(),
-                      singular_values=f.singular_values[:r].copy(),
-                      V=f.V[:, :r].copy())
+    f = svd_topk(A, r)
+    U, V = _fix_signs(f.U.copy(), f.V.copy())
+    return SvdFactors(U=U, singular_values=f.singular_values, V=V)
 
 
 def soft_threshold(x, tau: float):
@@ -182,10 +172,10 @@ def singular_value_threshold(A, tau: float, start: SvdFactors | None = None) -> 
 def qr_column_pivot(A) -> tuple[np.ndarray, np.ndarray]:
     """Householder QR with greedy column pivoting (Businger-Golub).
 
-    Returns (pivot_indices, r_diagonal): the full column permutation in
-    selection order and the diagonal of R.  Ties in the residual column
-    norms (within PIVOT_TIE_RTOL relative) resolve to the lowest index so
-    the permutation is identical across platforms.
+    Returns (pivot_indices, r_diagonal): the first min(m, n) pivots in
+    selection order, then the unselected columns, and the diagonal of R.
+    Ties in the residual column norms (within PIVOT_TIE_RTOL relative)
+    resolve to the lowest index so the pivots are platform-independent.
     """
     A = validate_matrix(A)
     R = A.copy()
@@ -197,7 +187,7 @@ def qr_column_pivot(A) -> tuple[np.ndarray, np.ndarray]:
         raise DegenerateInputError("all-zero matrix has no pivot order")
     orig2 = norms2.copy()
     rdiag = np.zeros(steps)
-    for k in range(n):
+    for k in range(steps):
         tail = norms2[k:]
         best = float(tail.max())
         if best <= 0:
@@ -210,8 +200,6 @@ def qr_column_pivot(A) -> tuple[np.ndarray, np.ndarray]:
             perm[[k, j]] = perm[[j, k]]
             norms2[[k, j]] = norms2[[j, k]]
             orig2[[k, j]] = orig2[[j, k]]
-        if k >= steps:
-            continue
         # Householder reflector on column k below the diagonal
         x = R[k:, k]
         alpha = np.linalg.norm(x)

@@ -81,12 +81,11 @@ def write_matrix_csv(A: np.ndarray, path) -> None:
 
 def read_matrix_csv(path) -> np.ndarray:
     with open(path) as fh:
-        first = fh.readline().strip()
         try:
-            rows, cols = (int(x) for x in first.split(","))
+            rows, cols = (int(x) for x in fh.readline().strip().split(","))
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:
-            raise ValidationError(f"{path}: malformed CSV header") from exc
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            raise ValidationError(f"{path}: malformed CSV: {exc}") from exc
     if data.shape != (rows, cols):
         raise ValidationError(
             f"{path}: header says {rows}x{cols}, payload is {data.shape}")

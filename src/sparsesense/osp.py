@@ -1,6 +1,6 @@
-"""Sensor selection by pivoted QR on the dominant left singular vectors,
-row-subset compression, and least-squares reconstruction back to the full
-spatial dimension.
+"""Sensor selection by pivoted QR and greedy leverage on the dominant left
+singular vectors, row-subset compression, and least-squares
+reconstruction back to the full spatial dimension.
 
 The measurement operator is kept in index form (a row-selection), never as
 a dense matrix.  The small reconstruction operator (the pseudoinverse of
@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundsError, ConstraintError, ValidationError
-from .linalg import pseudoinverse, qr_column_pivot, svd_truncated, validate_matrix
+from .linalg import (PIVOT_TIE_RTOL, pseudoinverse, qr_column_pivot,
+                     svd_truncated, validate_matrix)
 
 _BASIS_MAGIC = b"OSPB"
 _BASIS_VERSION = 1
@@ -67,10 +68,10 @@ class MeasurementSeries:
 def fit_basis(L, r: int, s: int | None = None) -> SensorBasis:
     """Fit modes and sensor rows on the (cleaned) data matrix L.
 
-    With s == r the sensors are the first r column pivots of modes.T;
-    with s > r they are the first s pivots of the pivoted QR of
-    modes @ modes.T (note: O(m^2) memory, intended for oversampling at
-    moderate m).
+    The first r sensors are the column pivots of modes.T.  Each further
+    one maximizes det(Theta^T Theta) of the chosen mode rows Theta: it is
+    the row psi of largest leverage psi^T P psi, P = (Theta^T Theta)^-1
+    (lowest index among near-ties), and P gets a Sherman-Morrison update.
     """
     L = validate_matrix(L)
     m = L.shape[0]
@@ -83,15 +84,19 @@ def fit_basis(L, r: int, s: int | None = None) -> SensorBasis:
     if s > m:
         raise BoundsError(f"sensor count {s} exceeds spatial dimension {m}")
     modes = svd_truncated(L, r).U
-    if s == r:
-        pivots, _ = qr_column_pivot(modes.T)
-        indices = pivots[:s]
-    else:
-        pivots, _ = qr_column_pivot(modes @ modes.T)
-        indices = pivots[:s]
+    pivots, _ = qr_column_pivot(modes.T)
+    indices = list(pivots[:r])
+    P = np.linalg.inv(modes[indices].T @ modes[indices])
+    leverage = np.sum((modes @ P) * modes, axis=1)
+    for _ in range(s - r):
+        leverage[indices] = -np.inf
+        j = int(np.nonzero(leverage >= leverage.max() * (1.0 - PIVOT_TIE_RTOL))[0][0])
+        w = P @ modes[j] / np.sqrt(1.0 + leverage[j])
+        P -= np.outer(w, w)
+        leverage -= (modes @ w) ** 2
+        indices.append(j)
     indices = np.asarray(indices, dtype=np.int64)
-    theta = modes[indices, :]
-    theta_pinv = pseudoinverse(theta)
+    theta_pinv = pseudoinverse(modes[indices, :])
     return SensorBasis(modes=modes, sensor_indices=indices, theta_pinv=theta_pinv)
 
 

@@ -208,12 +208,6 @@ def cmd_evaluate(cfg: RunConfig, out: Path) -> dict:
 
     metrics: dict = {"mean_rmse": float(np.mean(per_step)),
                      "final_rmse": per_step[-1]}
-    if cfg.baseline:
-        base = matio.read_matrix_csv(cfg.baseline)  # reuse header format
-        k = min(len(per_step), base.shape[0])
-        metrics["fraction_not_worse"] = float(
-            np.mean(np.asarray(per_step[:k]) <= base[:k, 1]))
-
     if cfg.pgm:
         height = cfg.frame_height or pred_full.shape[0]
         width = cfg.frame_width

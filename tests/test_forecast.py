@@ -67,6 +67,12 @@ def test_interpolate_collapses_duplicate_timestamps():
     np.testing.assert_allclose(out.values[:, 0], [0.0, 3.0, 6.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_time_series_rejects_non_finite_timestamps(bad):
+    with pytest.raises(ValidationError):
+        TimeSeries(np.array([0.0, 1.0, bad]), np.zeros((3, 1)))
+
+
 def test_interpolate_degenerate_input():
     with pytest.raises(ValidationError):
         interpolate_uniform(TimeSeries(np.array([1.0, 1.0]),

@@ -71,9 +71,12 @@ def test_csv_round_trip_full_precision(tmp_path):
 
 def test_csv_rejects_malformed_header(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("hello\n1,2\n")
-    with pytest.raises(ValidationError):
-        read_matrix_csv(path)
+    for text in ("hello\n1,2\n",        # header
+                 "3,1\n0\nabc\n1\n",    # non-numeric entry
+                 "2,2\n0,1\n2\n"):      # ragged row
+        path.write_text(text)
+        with pytest.raises(ValidationError):
+            read_matrix_csv(path)
 
 
 def test_csv_rejects_shape_mismatch(tmp_path):

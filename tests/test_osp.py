@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,9 +24,10 @@ def subspace_data(m, r, n, seed=0):
 
 
 def greedy_volume_oracle(Psi, s):
-    """Greedily pick rows of Psi maximizing the volume det(M M^T) of the
-    selected submatrix."""
-    m = Psi.shape[0]
+    """Greedily pick rows of Psi maximizing the volume of the selected
+    submatrix M: det(M M^T) up to r = Psi.shape[1] rows, det(M^T M) past
+    them."""
+    m, r = Psi.shape
     chosen: list[int] = []
     for _ in range(s):
         best_j, best_vol = None, -1.0
@@ -32,7 +35,7 @@ def greedy_volume_oracle(Psi, s):
             if j in chosen:
                 continue
             M = Psi[chosen + [j], :]
-            vol = np.linalg.det(M @ M.T)
+            vol = np.linalg.det(M @ M.T if M.shape[0] <= r else M.T @ M)
             if vol > best_vol * (1 + 1e-12):
                 best_j, best_vol = j, vol
         chosen.append(best_j)
@@ -50,8 +53,31 @@ def test_fit_basis_selects_dominant_rows():
 
 def test_fit_basis_matches_greedy_volume_oracle():
     X, _ = subspace_data(40, 3, 25, seed=6)
-    basis = fit_basis(X, r=3, s=3)
-    assert basis.sensor_indices.tolist() == greedy_volume_oracle(basis.modes, 3)
+    for s in (3, 5, 6):  # r, r + 2, 2r
+        basis = fit_basis(X, r=3, s=s)
+        assert basis.sensor_indices.tolist() == greedy_volume_oracle(basis.modes, s)
+
+
+def test_oversampled_selection_invariant_to_roundoff_perturbations():
+    X, _ = subspace_data(400, 4, 200, seed=11)
+    want = fit_basis(X, 4, 8).sensor_indices
+    rng = np.random.default_rng(12)
+    for _ in range(10):
+        noisy = X + 1e-13 * rng.standard_normal(X.shape)
+        np.testing.assert_array_equal(fit_basis(noisy, 4, 8).sensor_indices, want)
+
+
+def test_oversampled_fit_memory_is_linear_in_pixels():
+    # an m x m intermediate would be 2.9 GB here
+    X, _ = subspace_data(19200, 10, 30, seed=13)
+    tracemalloc.start()
+    try:
+        basis = fit_basis(X, 10, 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert basis.s == 20
+    assert peak < 50e6
 
 
 def test_fit_basis_constraints():

@@ -238,6 +238,7 @@ def test_cli_training_divergence_exit_3(workspace, tmp_path, capsys):
     "synth.outlier_hi_max = inf",
     "train.clip_norm = nan",
     "train.clip_norm = -1",
+    "evaluate.baseline = x",      # no longer a key
 ])
 def test_cli_bad_config_value_exit_2_before_any_stage(tmp_path, capsys, bad_line):
     cfg_path = tmp_path / "run.cfg"
@@ -256,6 +257,20 @@ def test_cli_truncated_artifact_exit_2(workspace, tmp_path, capsys, artifact, ke
     path = out / artifact
     path.write_bytes(path.read_bytes()[:keep])
     assert cli.main(["predict", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad_row", ["abc", "nan"])
+def test_cli_bad_timestamps_exit_2(workspace, tmp_path, capsys, bad_row):
+    cfg_path, _, out = mutable_copy(workspace, tmp_path)
+    interp = tmp_path / "interp.cfg"
+    interp.write_text(SMALL_CFG + "train.interpolate = true\n")
+    path = out / pipeline.TIMESTAMPS_FILE
+    lines = path.read_text().splitlines()
+    lines[3] = bad_row
+    path.write_text("\n".join(lines) + "\n")
+    assert cli.main(["train", "--config", str(interp), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
 
