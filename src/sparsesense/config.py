@@ -60,6 +60,8 @@ class RunConfig:
         self.scenario.validate(gt.m, gt.n)
         self.rpca.validate()
         self.train.validate()
+        if min(gt.seed, self.scenario.seed, self.train.seed) < 0:
+            raise ValidationError("synth.seed and train.seed must be non-negative")
         if not 1 <= self.r <= self.s:
             raise ConstraintError(f"need 1 <= osp.r <= osp.s, got r={self.r}, s={self.s}")
         if not (self.dt > 0 and self.train_dt > 0 and 0.0 <= self.time_jitter < 1.0):

@@ -97,15 +97,14 @@ def soft_threshold(x, tau: float):
 
 def _sign_columns(n: int, first: int, stop: int) -> np.ndarray:
     """Columns first..stop-1 of a fixed n-row matrix of random signs.
-    Column j is drawn from its own substream of TOPK_SEED, so it does not
-    depend on how many columns are asked for."""
-    words = -(-n // 64)
-    cols = np.empty((n, stop - first))
-    for c, j in enumerate(range(first, stop)):
-        rng = substream(TOPK_SEED, j)
-        bits = np.array([rng.next_u64() for _ in range(words)], dtype="<u8")
-        cols[:, c] = 1.0 - 2.0 * np.unpackbits(bits.view(np.uint8), bitorder="little")[:n]
-    return cols
+    Column j is the bits of lane j of TOPK_SEED's substreams, so it does
+    not depend on how many columns are asked for."""
+    if stop <= first:
+        return np.empty((n, 0))  # a warm start often fills the block
+    words = substream(TOPK_SEED, np.arange(first, stop)).next_u64s(-(-n // 64))
+    bits = np.unpackbits(np.ascontiguousarray(words.T, dtype="<u8").view(np.uint8),
+                         axis=1, bitorder="little")
+    return np.ascontiguousarray(1.0 - 2.0 * bits[:, :n].T)
 
 
 def svd_topk(A, k: int, tau: float | None = None,

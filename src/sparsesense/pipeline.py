@@ -78,8 +78,7 @@ def _sample_times(cfg: RunConfig) -> np.ndarray:
     gaps = np.full(n - 1, cfg.dt) if n > 1 else np.empty(0)
     if cfg.time_jitter > 0.0 and n > 1:
         rng = Xoshiro256pp(cfg.ground_truth.seed ^ 0x74696D65)
-        gaps = gaps * (1.0 + cfg.time_jitter * (2.0 * np.array(
-            [rng.random() for _ in range(n - 1)]) - 1.0))
+        gaps = gaps * (1.0 + cfg.time_jitter * (2.0 * rng.random(n - 1) - 1.0))
     return np.concatenate([[0.0], np.cumsum(gaps)])
 
 

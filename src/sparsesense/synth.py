@@ -3,7 +3,8 @@
 The ground truth is an exactly low-rank space-time product: smooth spatial
 profiles (Gaussian bumps at seeded locations) times sinusoid-plus-drift
 temporal coefficients.  Perturbations are drawn from per-frame substreams
-of a fully specified PRNG so every output is bit-identical per seed.
+of a fully specified PRNG so every output is bit-identical per seed; the
+frames' substreams are drawn together, as the lanes of one generator.
 
 Scenarios:
   1 noise        - additive Gaussian, mean 0, std 4
@@ -103,29 +104,6 @@ def generate_ground_truth(spec: GroundTruthSpec) -> np.ndarray:
     return X
 
 
-def _perturb_noise(frame: np.ndarray, rng: Xoshiro256pp, std: float) -> None:
-    frame += rng.normals(frame.shape[0], std=std)
-
-
-def _perturb_outliers(frame: np.ndarray, rng: Xoshiro256pp,
-                      spec: ScenarioSpec, touched: np.ndarray) -> None:
-    idx = rng.sample_without_replacement(frame.shape[0], spec.n_outliers)
-    for i in idx:
-        lo, hi = spec.outlier_ranges[1] if rng.coin() else spec.outlier_ranges[0]
-        frame[i] = rng.uniform(lo, hi)
-    touched[idx] = True
-
-
-def _perturb_corruptions(frame: np.ndarray, rng: Xoshiro256pp,
-                         spec: ScenarioSpec, touched: np.ndarray) -> None:
-    k = round(spec.corruption_fraction * frame.shape[0])
-    idx = rng.sample_without_replacement(frame.shape[0], k)
-    lo, hi = spec.corruption_interval
-    for i in idx:
-        frame[i] += rng.uniform(lo, hi)
-    touched[idx] = True
-
-
 # substream index offsets keep the three perturbation kinds statistically
 # independent even when superposed on the same frame
 _COMPONENT_STRIDE = 1 << 32
@@ -140,28 +118,30 @@ def apply_scenario(X, spec: ScenarioSpec) -> tuple[np.ndarray, np.ndarray]:
     X = validate_matrix(X)
     m, n = X.shape
     spec.validate(m, n)
-    out = X.copy()
-    mask = np.zeros((m, n), dtype=bool)
     sc = Scenario(spec.scenario)
-
     if spec.per_frame:
-        frames = range(n)
+        # one substream per frame, all drawn at once as the lanes of a block
+        frames = np.arange(n)
+        shape, lanes = (m, n), (frames,)
     else:
-        # single flattened draw over the whole matrix
-        out = out.reshape(m * n, 1)
-        mask = mask.reshape(m * n, 1)
-        frames = range(1)
+        # one stream over the matrix flattened row by row
+        frames, shape, lanes = 0, (m * n,), ()
+    out = X.reshape(shape).copy()
+    mask = np.zeros(shape, dtype=bool)
+    rows = shape[0]
 
-    for j in frames:
-        col = out[:, j]
-        touched = mask[:, j]
-        if sc in (Scenario.NOISE, Scenario.SUPERPOSITION):
-            _perturb_noise(col, substream(spec.seed, 1 * _COMPONENT_STRIDE + j), spec.noise_std)
-        if sc in (Scenario.OUTLIERS, Scenario.SUPERPOSITION):
-            _perturb_outliers(col, substream(spec.seed, 2 * _COMPONENT_STRIDE + j), spec, touched)
-        if sc in (Scenario.CORRUPTIONS, Scenario.SUPERPOSITION):
-            _perturb_corruptions(col, substream(spec.seed, 3 * _COMPONENT_STRIDE + j), spec, touched)
-
-    out = out.reshape(m, n)
-    mask = mask.reshape(m, n)
-    return out, mask
+    if sc in (Scenario.NOISE, Scenario.SUPERPOSITION):
+        rng = substream(spec.seed, 1 * _COMPONENT_STRIDE + frames)
+        out += rng.normals(rows, std=spec.noise_std)
+    if sc in (Scenario.OUTLIERS, Scenario.SUPERPOSITION):
+        rng = substream(spec.seed, 2 * _COMPONENT_STRIDE + frames)
+        at = (rng.sample_without_replacement(rows, spec.n_outliers), *lanes)
+        out[at] = rng.coin_uniforms(spec.n_outliers, *spec.outlier_ranges)
+        mask[at] = True
+    if sc in (Scenario.CORRUPTIONS, Scenario.SUPERPOSITION):
+        rng = substream(spec.seed, 3 * _COMPONENT_STRIDE + frames)
+        k = round(spec.corruption_fraction * rows)
+        at = (rng.sample_without_replacement(rows, k), *lanes)
+        out[at] += rng.uniform(*spec.corruption_interval, k)
+        mask[at] = True
+    return out.reshape(m, n), mask.reshape(m, n)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from sparsesense.errors import BoundsError, DegenerateInputError, ValidationError
 from sparsesense.linalg import (
     TOPK_MARGIN,
+    _sign_columns,
     pseudoinverse,
     qr_column_pivot,
     singular_value_threshold,
@@ -378,3 +381,16 @@ def test_pinv_penrose_conditions(shape):
 def test_pinv_rejects_zero_matrix():
     with pytest.raises(DegenerateInputError):
         pseudoinverse(np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("n, first, stop, want", [
+    (130, 0, 7, "2f8f603d9a922216624316502962b2f000e786d223e95049c9c283b2510462d8"),
+    (64, 3, 5, "105914a3fb80adbcd9179d73728dc53da4d3b3bbbf360cd625bde689362f24ab"),
+    (1, 0, 1, "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712"),
+])
+def test_sign_columns_golden_bytes(n, first, stop, want):
+    # recorded from the one-column-at-a-time generator; svd_topk's start
+    # block must not change when the columns are drawn together
+    cols = _sign_columns(n, first, stop)
+    assert hashlib.sha256(cols.tobytes()).hexdigest() == want
+    np.testing.assert_array_equal(cols[:, 1:], _sign_columns(n, first + 1, stop))

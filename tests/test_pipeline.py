@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 from sparsesense import cli, forecast, matio, osp, pipeline
-from sparsesense.config import parse_config
+from sparsesense.config import RunConfig, parse_config
+from sparsesense.synth import GroundTruthSpec
 
 SMALL_CFG = """\
 synth.m = 60
@@ -172,6 +174,15 @@ def test_evaluate_writes_stage_timings(workspace):
 
 
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize("seed", [3, 2**64 + 3])  # seeds are masked to 64 bits
+def test_sample_times_golden_bytes(seed):
+    cfg = RunConfig(ground_truth=GroundTruthSpec(m=4, n=57, rank=1, seed=seed),
+                    time_jitter=0.4)
+    times = pipeline._sample_times(cfg)
+    assert hashlib.sha256(times.tobytes()).hexdigest() == (
+        "702784fc1743183cab911da53a7942488bdc4fa15750059abd06f27fc0c1f1ae")
+
+
 # command-line interface
 
 
@@ -239,6 +250,8 @@ def test_cli_training_divergence_exit_3(workspace, tmp_path, capsys):
     "train.clip_norm = nan",
     "train.clip_norm = -1",
     "evaluate.baseline = x",      # no longer a key
+    "synth.seed = -1",
+    "train.seed = -1",
 ])
 def test_cli_bad_config_value_exit_2_before_any_stage(tmp_path, capsys, bad_line):
     cfg_path = tmp_path / "run.cfg"
@@ -248,6 +261,28 @@ def test_cli_bad_config_value_exit_2_before_any_stage(tmp_path, capsys, bad_line
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
     assert not list(tmp_path.rglob("report_*.json"))
+
+
+def test_cli_negative_seed_flag_exit_2_before_any_stage(tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(SMALL_CFG)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg_path), "--seed", "-1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert not list(tmp_path.rglob("report_*.json"))
+
+
+def test_cli_seed_above_64_bits_runs_and_reduces_modulo_2_64(tmp_path):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(SMALL_CFG)
+    big, small = tmp_path / "big", tmp_path / "small"
+    assert cli.main(["run", "--config", str(cfg_path), "--seed", str(2**64 + 5),
+                     "--out", str(big)]) == 0
+    assert cli.main(["synth", "--config", str(cfg_path), "--seed", "5", "--out", str(small)]) == 0
+    for name in (pipeline.TRUTH_FILE, pipeline.PERTURBED_FILE, pipeline.MASK_FILE,
+                 pipeline.TIMESTAMPS_FILE):
+        assert (big / name).read_bytes() == (small / name).read_bytes()
 
 
 @pytest.mark.parametrize("artifact", [pipeline.MODEL_FILE, pipeline.BASIS_FILE])

@@ -1,6 +1,11 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sparsesense import rng
 from sparsesense.rng import Xoshiro256pp, splitmix64_next, substream
 
 
@@ -75,3 +80,127 @@ def test_substreams_independent_and_deterministic():
     seq_a = [a.next_u64() for _ in range(10)]
     assert seq_a == [a2.next_u64() for _ in range(10)]
     assert seq_a != [b.next_u64() for _ in range(10)]
+
+
+# ----------------------------------------------------------------------
+# lanes against the one-stream algorithm, kept here as a pure-Python oracle
+
+M64 = (1 << 64) - 1
+
+
+def oracle_splitmix(state):
+    state = (state + 0x9E3779B97F4A7C15) & M64
+    z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & M64
+    return state, z ^ (z >> 31)
+
+
+def oracle_rotl(x, k):
+    return ((x << k) | (x >> (64 - k))) & M64
+
+
+class Oracle:
+    """substream(seed, index), one Python-int step at a time."""
+
+    def __init__(self, seed, index):
+        _, state = oracle_splitmix((seed ^ (0x9E3779B97F4A7C15 * (index + 1))) & M64)
+        self.s = []
+        for _ in range(4):
+            state, out = oracle_splitmix(state)
+            self.s.append(out)
+
+    def next(self):
+        s0, s1, s2, s3 = self.s
+        result = (oracle_rotl((s0 + s3) & M64, 23) + s0) & M64
+        t = (s1 << 17) & M64
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        self.s = [s0, s1, s2, oracle_rotl(s3, 45)]
+        return result
+
+    def random(self):
+        return (self.next() >> 11) / 2.0 ** 53
+
+    def below(self, bound):
+        limit = (1 << 64) - (1 << 64) % bound
+        while (x := self.next()) >= limit:
+            pass
+        return x % bound
+
+    def normals(self, n, mean, std):
+        out = []
+        while len(out) < n:
+            u1 = ((self.next() >> 11) + 1) / 2.0 ** 53
+            u2 = self.random()
+            radius = math.sqrt(-2.0 * math.log(u1))
+            out += [radius * math.cos(2.0 * math.pi * u2), radius * math.sin(2.0 * math.pi * u2)]
+        out = np.array(out[:n])
+        return mean + std * out if mean != 0.0 or std != 1.0 else out
+
+    def sample(self, population, k):
+        pool = list(range(population))
+        for i in range(k):
+            j = i + self.below(population - i)
+            pool[i], pool[j] = pool[j], pool[i]
+        return pool[:k]
+
+
+seeds = st.one_of(st.integers(0, 2**64 - 1), st.integers(2**63, 2**66))
+lanes = st.lists(st.integers(0, 2**40), min_size=1, max_size=40)
+
+
+def assert_lanes_match(block, want):
+    """block (k, lanes) equals the per-lane oracle draws, bit for bit."""
+    want = np.array(want, dtype=block.dtype).reshape(len(want), -1).T
+    assert block.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, lanes, st.integers(0, 41), st.integers(1, 70),
+       st.sampled_from([(0.0, 1.0), (0.0, 4.0), (-2.5, 0.5)]))
+def test_lane_normals_match_one_stream(seed, index, n, chunk, affine):
+    with mock.patch.object(rng, "_CHUNK", chunk):   # many chunk boundaries
+        block = substream(seed, np.array(index)).normals(n, *affine)
+    assert block.shape == (n, len(index))
+    assert_lanes_match(block, [Oracle(seed, j).normals(n, *affine) for j in index])
+    assert substream(seed, index[0]).normals(n, *affine).tobytes() == block[:, 0].tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, lanes, st.integers(1, 41), st.data())
+def test_lane_sample_without_replacement_matches_one_stream(seed, index, population, data):
+    k = data.draw(st.integers(0, population))
+    block = substream(seed, np.array(index)).sample_without_replacement(population, k)
+    assert block.shape == (k, len(index)) and block.dtype == np.int64
+    assert_lanes_match(block, [Oracle(seed, j).sample(population, k) for j in index])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, lanes)
+def test_lane_below_retries_only_rejected_lanes(seed, index):
+    # at this bound about half of all draws are rejected
+    bound = 2**63 + 1
+    gen = substream(seed, np.array(index))
+    block = np.array([gen.below(bound) for _ in range(6)])
+    oracles = [Oracle(seed, j) for j in index]
+    assert_lanes_match(block, [[o.below(bound) for _ in range(6)] for o in oracles])
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds, lanes, st.integers(0, 9))
+def test_lane_coin_uniforms_match_one_stream(seed, index, k):
+    gen = substream(seed, np.array(index))
+    block = np.concatenate([gen.coin_uniforms(k, (30.0, 40.0), (-40.0, -30.0)),
+                            gen.uniform(-15.0, 30.0, k)])
+
+    def draws(o):
+        pairs = []
+        for _ in range(k):
+            lo, hi = (-40.0, -30.0) if o.next() >> 63 else (30.0, 40.0)
+            pairs.append(lo + (hi - lo) * o.random())
+        return pairs + [-15.0 + 45.0 * o.random() for _ in range(k)]
+
+    assert_lanes_match(block, [draws(Oracle(seed, j)) for j in index])

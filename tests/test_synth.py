@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -109,3 +112,78 @@ def test_scenario_validation():
         apply_scenario(X, ScenarioSpec(corruption_fraction=1.5))
     with pytest.raises(ValidationError):
         apply_scenario(X, ScenarioSpec(noise_std=-1.0))
+
+
+# ----------------------------------------------------------------------
+# golden bytes: sha256 of apply_scenario's outputs, recorded from the
+# one-stream-at-a-time generator.  An odd row count, a seed above 2**64
+# (masked to 64 bits, so it matches seed 5) and empty outlier/corruption
+# draws are all covered.
+
+GOLDEN_SCENARIOS = [
+    # scenario, per_frame, seed, n_outliers, corruption_fraction, perturbed, mask
+    (1, True, 5, 7, 0.1,
+     "13f2e8ea3aa371a552352f88f27e8af645e60d051457250bcc7f2e9ce15763fe",
+     "2f5372bb195bbbde96712a299a66dbe3b2ac0dfdf028d422a8c5c2c86e7d728c"),
+    (1, False, 5, 7, 0.1,
+     "c6ad8adf6062c6779f9e94cb1b9c7f62ea382daad53e87f7e69d1b799c6aaea3",
+     "2f5372bb195bbbde96712a299a66dbe3b2ac0dfdf028d422a8c5c2c86e7d728c"),
+    (2, True, 5, 7, 0.1,
+     "e00a5fe7297ad98ba7bbccc9d815884d3632ed3d798e672c43c3b17b1bd836f5",
+     "82eb71dff26e2c0a2c5f0bb44a3e3b805cd9bfe08cb2231926dd8afea5e30d1b"),
+    (2, False, 5, 7, 0.1,
+     "614ceac15d8f310e4538ffa10be9893b9120f96f06298f2f7762b7f5a4925a67",
+     "61d159a4207350ebe40dd1f327540f053d9a40bcd127d3bb1e923e6d69b66e93"),
+    (3, True, 5, 7, 0.1,
+     "35613721bf0063598265f1e581ae0b9c28282380319672a929523cde57d10c4f",
+     "1ec797a3c60407de1b8c285a15112dc80bd830fc45879a39703902fed6eee5fd"),
+    (3, False, 5, 7, 0.1,
+     "6f438c3dcc02e8cd2dcedfa3210b1a8b1a7bc94e3f6ee01cfce71d4cb94d0480",
+     "63fbe4fee5574c4848cc3e03e2db3c722d809edec75a71e48f103c0e2f05bd79"),
+    (4, True, 5, 7, 0.1,
+     "6dcac102dd2db35956bcbedbdee47c7394f1cb3bef92e977a3868a7dc24c59ad",
+     "bf767bef1bcd2a08e60413fb839e550f0a8e1ad0ef71687f69c2ec684c6b607e"),
+    (4, False, 5, 7, 0.1,
+     "24a8a59c0b016ea371adc357ad74764b1d2a36ae77445cd2c264134880612169",
+     "03d6b95f164ac0ee908b265d5e8172e707afeef4bbbf560e1cbada3cc4bb477d"),
+    (4, True, 2**64 + 5, 7, 0.1,
+     "6dcac102dd2db35956bcbedbdee47c7394f1cb3bef92e977a3868a7dc24c59ad",
+     "bf767bef1bcd2a08e60413fb839e550f0a8e1ad0ef71687f69c2ec684c6b607e"),
+    (4, False, 2**64 + 5, 7, 0.1,
+     "24a8a59c0b016ea371adc357ad74764b1d2a36ae77445cd2c264134880612169",
+     "03d6b95f164ac0ee908b265d5e8172e707afeef4bbbf560e1cbada3cc4bb477d"),
+    (4, True, 5, 0, 0.0,
+     "13f2e8ea3aa371a552352f88f27e8af645e60d051457250bcc7f2e9ce15763fe",
+     "2f5372bb195bbbde96712a299a66dbe3b2ac0dfdf028d422a8c5c2c86e7d728c"),
+    (4, False, 5, 0, 0.0,
+     "c6ad8adf6062c6779f9e94cb1b9c7f62ea382daad53e87f7e69d1b799c6aaea3",
+     "2f5372bb195bbbde96712a299a66dbe3b2ac0dfdf028d422a8c5c2c86e7d728c"),
+]
+
+
+def _sha256(a: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("case", GOLDEN_SCENARIOS,
+                         ids=lambda c: f"s{c[0]}-{'frame' if c[1] else 'whole'}-seed{c[2]}-k{c[3]}")
+def test_scenario_golden_bytes(case):
+    scenario, per_frame, seed, n_outliers, fraction, want_out, want_mask = case
+    truth = generate_ground_truth(GroundTruthSpec(m=61, n=23, rank=3, seed=1))
+    out, mask = apply_scenario(truth, ScenarioSpec(
+        scenario=Scenario(scenario), per_frame=per_frame, seed=seed,
+        n_outliers=n_outliers, corruption_fraction=fraction))
+    assert (_sha256(out), _sha256(mask)) == (want_out, want_mask)
+
+
+def test_scenario_memory_is_bounded_at_desk_scale():
+    # output and mask take 18 MB; the per-frame lanes may add one (m, n)
+    # block of draws, but no (m, n) list of Python floats
+    truth = generate_ground_truth(GroundTruthSpec(m=2000, n=1000, rank=10, seed=0))
+    tracemalloc.start()
+    try:
+        apply_scenario(truth, ScenarioSpec(scenario=Scenario.SUPERPOSITION, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
