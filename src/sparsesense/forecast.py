@@ -20,17 +20,18 @@ de-normalized on the way out.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import matio
 from .errors import TrainingDivergenceError, ValidationError
 
-_MODEL_MAGIC = b"LSTM"
-_MODEL_VERSION = 1
-
 _PARAM_ORDER = ("Wx", "Wh", "b", "Wd", "bd", "Wo", "bo")
+# arrays: norm_mean, norm_std, then the weights in _PARAM_ORDER
+_MODEL = matio.Record(b"LSTM", "<HIIIId", 1, lambda s, H, D, out, dropout: [
+    ("<f8", shape) for shape in ((s,), (s,), (s, 4 * H), (H, 4 * H), (4 * H,),
+                                 (H, D), (D,), (D, out), (out,))])
 
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -397,49 +398,15 @@ def predict_multistep(model: LstmModel, seed_window: np.ndarray,
     return preds
 
 
-# ----------------------------------------------------------------------
-# serialization: magic "LSTM", version u16, dims 4 x u32
-# (input, hidden, dense, output), dropout f64, norm_mean (s f64),
-# norm_std (s f64), then weight tensors in _PARAM_ORDER, row-major f64;
-# all little-endian, bit-exact round trip.
-
 def save_model(model: LstmModel, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_MODEL_MAGIC)
-        fh.write(struct.pack("<HIIII", _MODEL_VERSION, model.input_dim,
-                             model.hidden_dim, model.dense_dim, model.output_dim))
-        fh.write(struct.pack("<d", model.dropout_rate))
-        fh.write(np.ascontiguousarray(model.norm_mean, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(model.norm_std, dtype="<f8").tobytes())
-        for name in _PARAM_ORDER:
-            fh.write(np.ascontiguousarray(model.params[name], dtype="<f8").tobytes())
+    matio.write_record(path, _MODEL, (model.input_dim, model.hidden_dim, model.dense_dim,
+                                      model.output_dim, model.dropout_rate),
+                       [model.norm_mean, model.norm_std,
+                        *(model.params[name] for name in _PARAM_ORDER)])
 
 
 def load_model(path) -> LstmModel:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    off = 4 + 18
-    if len(raw) < off + 8 or raw[:4] != _MODEL_MAGIC:
-        raise ValidationError(f"{path}: not a model file")
-    version, s, H, D, out_dim = struct.unpack_from("<HIIII", raw, 4)
-    if version != _MODEL_VERSION:
-        raise ValidationError(f"{path}: unsupported model version {version}")
-    shapes = {"Wx": (s, 4 * H), "Wh": (H, 4 * H), "b": (4 * H,),
-              "Wd": (H, D), "bd": (D,), "Wo": (D, out_dim), "bo": (out_dim,)}
-    counts = {name: math.prod(shape) for name, shape in shapes.items()}
-    if len(raw) != off + 8 * (1 + 2 * s + sum(counts.values())):
-        raise ValidationError(f"{path}: payload length does not match the header")
-    (dropout,) = struct.unpack_from("<d", raw, off)
-    off += 8
-    mean = np.frombuffer(raw, dtype="<f8", count=s, offset=off).copy()
-    off += 8 * s
-    std = np.frombuffer(raw, dtype="<f8", count=s, offset=off).copy()
-    off += 8 * s
-    params = {}
-    for name in _PARAM_ORDER:
-        params[name] = np.frombuffer(raw, dtype="<f8", count=counts[name],
-                                     offset=off).reshape(shapes[name]).copy()
-        off += 8 * counts[name]
+    (s, H, D, out_dim, dropout), (mean, std, *weights) = matio.read_record(path, _MODEL)
     return LstmModel(input_dim=s, hidden_dim=H, dense_dim=D, output_dim=out_dim,
-                     params=params, dropout_rate=dropout,
+                     params=dict(zip(_PARAM_ORDER, weights)), dropout_rate=dropout,
                      norm_mean=mean, norm_std=std)

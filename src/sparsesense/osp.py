@@ -10,17 +10,17 @@ sits in the per-frame hot path.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import matio
 from .errors import BoundsError, ConstraintError, ValidationError
 from .linalg import (PIVOT_TIE_RTOL, pseudoinverse, qr_column_pivot,
                      svd_truncated, validate_matrix)
 
-_BASIS_MAGIC = b"OSPB"
-_BASIS_VERSION = 1
+_BASIS = matio.Record(b"OSPB", "<HIII", 1, lambda m, r, s: [
+    ("<f8", (m, r)), ("<u4", (s,)), ("<f8", (r, s))])
 
 
 @dataclass(frozen=True)
@@ -137,35 +137,12 @@ def compression_ratio(m: int, r_stored: int) -> float:
     return m / r_stored
 
 
-# ----------------------------------------------------------------------
-# serialization: magic "OSPB", version u16, m u32, r u32, s u32,
-# modes (m*r f64), sensor_indices (s u32, selection order),
-# theta_pinv (r*s f64); all little-endian, bit-exact round trip.
-
 def save_basis(basis: SensorBasis, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_BASIS_MAGIC)
-        fh.write(struct.pack("<HIII", _BASIS_VERSION, basis.m, basis.r, basis.s))
-        fh.write(np.ascontiguousarray(basis.modes, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(basis.sensor_indices, dtype="<u4").tobytes())
-        fh.write(np.ascontiguousarray(basis.theta_pinv, dtype="<f8").tobytes())
+    matio.write_record(path, _BASIS, (basis.m, basis.r, basis.s),
+                       [basis.modes, basis.sensor_indices, basis.theta_pinv])
 
 
 def load_basis(path) -> SensorBasis:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    off = 4 + 14
-    if len(raw) < off or raw[:4] != _BASIS_MAGIC:
-        raise ValidationError(f"{path}: not a sensor-basis file")
-    version, m, r, s = struct.unpack_from("<HIII", raw, 4)
-    if version != _BASIS_VERSION:
-        raise ValidationError(f"{path}: unsupported basis version {version}")
-    if len(raw) != off + 8 * m * r + 4 * s + 8 * r * s:
-        raise ValidationError(f"{path}: payload length does not match the header")
-    modes = np.frombuffer(raw, dtype="<f8", count=m * r, offset=off).reshape(m, r)
-    off += 8 * m * r
-    indices = np.frombuffer(raw, dtype="<u4", count=s, offset=off).astype(np.int64)
-    off += 4 * s
-    theta_pinv = np.frombuffer(raw, dtype="<f8", count=r * s, offset=off).reshape(r, s)
-    return SensorBasis(modes=modes.copy(), sensor_indices=indices,
-                       theta_pinv=theta_pinv.copy())
+    _, (modes, indices, theta_pinv) = matio.read_record(path, _BASIS)
+    return SensorBasis(modes=modes, sensor_indices=indices.astype(np.int64),
+                       theta_pinv=theta_pinv)

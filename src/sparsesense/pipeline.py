@@ -62,15 +62,6 @@ def _write_report(out: Path, stage: str, elapsed_ms: float,
     return report
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    with matio.atomic_write(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(f"{x:.17g}" if isinstance(x, float) else str(x)
-                              for x in row))
-            fh.write("\n")
-
-
 def _sample_times(cfg: RunConfig) -> np.ndarray:
     """Timestamps with average spacing synth.dt; synth.time_jitter
     perturbs each gap uniformly for irregular sampling."""
@@ -113,10 +104,10 @@ def cmd_clean(cfg: RunConfig, out: Path) -> dict:
     result = decompose.rpca(X, cfg.rpca)
     matio.write_matrix(result.L, out / CLEAN_L_FILE)
     matio.write_matrix(result.S, out / CLEAN_S_FILE)
-    _write_csv(out / RESIDUALS_FILE, "iteration,residual,mu,kept,dual_residual",
-               [(i + 1, *row) for i, row in enumerate(zip(
-                   result.residual_history, result.mu_history, result.kept_history,
-                   result.dual_history))])
+    matio.write_csv(out / RESIDUALS_FILE, "iteration,residual,mu,kept,dual_residual",
+                    [(i + 1, *row) for i, row in enumerate(zip(
+                        result.residual_history, result.mu_history, result.kept_history,
+                        result.dual_history))])
     metrics = {"iterations": result.iterations,
                "converged": result.converged,
                "final_residual": result.residual_history[-1]}
@@ -157,8 +148,8 @@ def cmd_train(cfg: RunConfig, out: Path) -> dict:
     ts = _training_series(cfg, out)
     model, history = forecast.train(ts, cfg.train)
     forecast.save_model(model, out / MODEL_FILE)
-    _write_csv(out / HISTORY_FILE, "epoch,train_rmse",
-               [(i + 1, r) for i, r in enumerate(history)])
+    matio.write_csv(out / HISTORY_FILE, "epoch,train_rmse",
+                    [(i + 1, r) for i, r in enumerate(history)])
     metrics = {"epochs": cfg.train.epochs, "final_train_rmse": history[-1],
                "samples": len(ts)}
     return _write_report(out, "train", (time.perf_counter() - t0) * 1e3, metrics,
@@ -186,24 +177,33 @@ def cmd_predict(cfg: RunConfig, out: Path) -> dict:
 def cmd_evaluate(cfg: RunConfig, out: Path) -> dict:
     t0 = time.perf_counter()
     pred_full = matio.read_matrix(out / PRED_FULL_FILE)
-    truth = matio.read_matrix(cfg.truth or out / TRUTH_FILE)
+    if pred_full.shape[1] == 0:
+        raise ValidationError(f"{out / PRED_FULL_FILE}: no forecast steps")
+    truth_path = cfg.truth or out / TRUTH_FILE
+    truth = matio.read_matrix(truth_path)
+    if truth.shape[1] < cfg.holdout:
+        raise ValidationError(f"{truth_path}: {truth.shape[1]} frames, fewer than "
+                              f"train.holdout = {cfg.holdout}")
     start = truth.shape[1] - cfg.holdout
     horizon = min(pred_full.shape[1], truth.shape[1] - start)
     if pred_full.shape[0] != truth.shape[0]:
         raise ValidationError("prediction and truth have different spatial dimension")
-    per_step = [forecast.rmse(pred_full[:, k], truth[:, start + k])
-                for k in range(horizon)]
-    _write_csv(out / RMSE_FILE, "step,rmse",
-               [(k + 1, v) for k, v in enumerate(per_step)])
-    artifacts = [RMSE_FILE]
-
     timing_rows = []
     for stage in _STAGES[:-1]:
         report_path = out / f"report_{stage}.json"
         if report_path.exists():
-            with open(report_path) as fh:
-                timing_rows.append((stage, float(json.load(fh)["elapsed_ms"])))
-    _write_csv(out / TIMINGS_FILE, "stage,elapsed_ms", timing_rows)
+            try:
+                with open(report_path) as fh:
+                    timing_rows.append((stage, float(json.load(fh)["elapsed_ms"])))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValidationError(
+                    f"{report_path}: not a stage report: {exc!r}") from exc
+    per_step = [forecast.rmse(pred_full[:, k], truth[:, start + k])
+                for k in range(horizon)]
+    matio.write_csv(out / RMSE_FILE, "step,rmse",
+                    [(k + 1, v) for k, v in enumerate(per_step)])
+    artifacts = [RMSE_FILE]
+    matio.write_csv(out / TIMINGS_FILE, "stage,elapsed_ms", timing_rows)
 
     metrics: dict = {"mean_rmse": float(np.mean(per_step)),
                      "final_rmse": per_step[-1]}

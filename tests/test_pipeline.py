@@ -1,9 +1,16 @@
+import contextlib
+import dataclasses
 import hashlib
+import io
 import json
+import os
 import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sparsesense import cli, forecast, matio, osp, pipeline
 from sparsesense.config import RunConfig, parse_config
@@ -317,3 +324,128 @@ def test_cli_missing_input_exit_4(tmp_path, capsys):
     assert cli.main(["clean", "--config", str(cfg_path),
                      "--out", str(empty)]) == 4
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ['{"stage": "train", "elapsed', "{}"])
+def test_cli_evaluate_bad_stage_report_exit_2(workspace, tmp_path, capsys, text):
+    cfg_path, _, out = mutable_copy(workspace, tmp_path)
+    (out / "report_train.json").write_text(text)
+    assert cli.main(["evaluate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "report_train.json" in err and "Traceback" not in err
+
+
+def test_cli_evaluate_truth_shorter_than_holdout_exit_2(workspace, tmp_path, capsys):
+    # 3 truth frames against train.holdout = 5: negative indices would wrap
+    cfg_path, _, out = mutable_copy(workspace, tmp_path)
+    short = tmp_path / "short.rbdm"
+    matio.write_matrix(matio.read_matrix(out / pipeline.TRUTH_FILE)[:, :3], short)
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text(SMALL_CFG + f"evaluate.truth = {short}\n")
+    assert cli.main(["evaluate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "short.rbdm" in err and "holdout" in err
+
+
+def test_cli_evaluate_empty_prediction_exit_2(workspace, tmp_path, capsys):
+    cfg_path, _, out = mutable_copy(workspace, tmp_path)
+    matio.write_matrix(np.zeros((60, 0)), out / pipeline.PRED_FULL_FILE)
+    assert cli.main(["evaluate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert pipeline.PRED_FULL_FILE in capsys.readouterr().err
+
+
+def test_artifacts_get_plain_open_file_mode(workspace, tmp_path):
+    cfg_path, _, out, _ = workspace
+    old = os.umask(0o027)
+    try:
+        assert cli.main(["synth", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+        osp.save_basis(osp.load_basis(out / pipeline.BASIS_FILE), tmp_path / "b.ospb")
+        forecast.save_model(forecast.load_model(out / pipeline.MODEL_FILE),
+                            tmp_path / "m.lstm")
+    finally:
+        os.umask(old)
+    names = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
+    assert {"report_synth.json", pipeline.TRUTH_FILE, pipeline.TIMESTAMPS_FILE,
+            "b.ospb", "m.lstm"} <= set(names)
+    assert set(names.values()) == {0o640}
+
+
+def _uncastable_last_array(out, name):
+    """The writer of `name` and an artifact whose last array holds text."""
+    if name == pipeline.TRUTH_FILE:
+        return matio.write_matrix, np.full((3, 2), "x")
+    if name == pipeline.BASIS_FILE:
+        basis = osp.load_basis(out / name)
+        return osp.save_basis, dataclasses.replace(
+            basis, theta_pinv=np.full(basis.theta_pinv.shape, "x"))
+    model = forecast.load_model(out / name)
+    model.params["bo"] = np.full(model.params["bo"].shape, "x")
+    return forecast.save_model, model
+
+
+@pytest.mark.parametrize("name", [pipeline.TRUTH_FILE, pipeline.BASIS_FILE,
+                                  pipeline.MODEL_FILE])
+def test_writer_failing_partway_keeps_old_file(workspace, tmp_path, name):
+    _, _, out = mutable_copy(workspace, tmp_path)
+    write, bad = _uncastable_last_array(out, name)
+    before = (out / name).read_bytes()
+    with pytest.raises(ValueError):
+        write(bad, out / name)
+    assert (out / name).read_bytes() == before
+    assert not [p.name for p in out.iterdir() if p.name.startswith(".tmp-")]
+
+
+# Every binary artifact, with a stage that reads it.
+_READER_STAGE = {
+    pipeline.PERTURBED_FILE: "clean",
+    pipeline.CLEAN_L_FILE: "compress",
+    pipeline.MEASUREMENTS_FILE: "train",
+    pipeline.BASIS_FILE: "predict",
+    pipeline.MODEL_FILE: "predict",
+}
+
+
+def _truncate(raw: bytes, at: int) -> bytes:
+    return raw[:at % len(raw)]
+
+
+def _flip_bit(raw: bytes, at: int) -> bytes:
+    byte, bit = divmod(at % (8 * len(raw)), 8)
+    return raw[:byte] + bytes([raw[byte] ^ 1 << bit]) + raw[byte + 1:]
+
+
+def _max_matrix_dims(raw: bytes, at: int) -> bytes:
+    return raw[:8] + b"\xff" * 8 + raw[16:]
+
+
+def _append(raw: bytes, at: int) -> bytes:
+    return raw + bytes(at)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(artifact=st.sampled_from(sorted(_READER_STAGE)),
+       mutate=st.sampled_from([_truncate, _flip_bit]),
+       at=st.integers(min_value=0))
+# rows 2 -> 2**30 + 2 (640 GiB), then 0xFFFFFFFF x 0xFFFFFFFF, then 8 trailing bytes
+@example(artifact=pipeline.MEASUREMENTS_FILE, mutate=_flip_bit, at=94)
+@example(artifact=pipeline.PERTURBED_FILE, mutate=_max_matrix_dims, at=0)
+@example(artifact=pipeline.PERTURBED_FILE, mutate=_append, at=8)
+def test_cli_survives_damaged_artifacts(workspace, artifact, mutate, at):
+    """A truncated, extended or bit-flipped artifact gives a documented
+    exit code and no traceback; one whose length changed exits 2."""
+    cfg_path, _, out, _ = workspace
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp) / "out"
+        shutil.copytree(out, work)
+        raw = (work / artifact).read_bytes()
+        damaged = mutate(raw, at)
+        (work / artifact).write_bytes(damaged)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main([_READER_STAGE[artifact], "--config", str(cfg_path),
+                             "--out", str(work)])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    if len(damaged) != len(raw):
+        assert code == 2 and artifact in err.getvalue()
