@@ -4,7 +4,9 @@
                 --config PATH [--seed N] [--out DIR]
 
 Exit codes: 0 success, 2 validation error, 3 convergence/training failure,
-4 I/O error.
+4 I/O error.  Inputs that ask for an array larger than the host can
+allocate (a tiny train.dt, a huge train.horizon) also exit 2: the
+MemoryError is reported as one `error:` line, not a traceback.
 """
 
 from __future__ import annotations
@@ -59,6 +61,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONVERGENCE
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

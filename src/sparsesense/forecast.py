@@ -56,10 +56,6 @@ class TimeSeries:
     def __len__(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def channels(self) -> int:
-        return self.values.shape[1]
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -95,7 +91,6 @@ class LstmModel:
     input_dim: int
     hidden_dim: int
     dense_dim: int
-    output_dim: int
     params: dict[str, np.ndarray]
     dropout_rate: float
     norm_mean: np.ndarray
@@ -141,30 +136,15 @@ def interpolate_uniform(ts: TimeSeries, dt: float) -> TimeSeries:
     return TimeSeries(timestamps=grid, values=out)
 
 
-def make_windows(values: np.ndarray, window: int,
-                 horizon: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Supervised pairs from a (n, s) series.
-
-    Returns (inputs, targets, multistep_targets): inputs[i] holds rows
-    [i, i+window), targets[i] is row i+window, and multistep_targets[i]
-    gathers rows [i+window, i+window+horizon) for the i where the full
-    horizon fits (fewer rows than inputs when horizon > 1).
-    """
+def make_windows(values: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
+    """Supervised one-step pairs from a (n, s) series: inputs[i] holds
+    rows [i, i+window) and targets[i] is row i+window."""
     values = np.asarray(values, dtype=np.float64)
-    n, s = values.shape
+    n = values.shape[0]
     if n < window + 1:
         raise ValidationError(f"series of length {n} too short for window {window}")
-    count = n - window
-    idx = np.arange(window)[None, :] + np.arange(count)[:, None]
-    inputs = values[idx]
-    targets = values[window:]
-    count_multi = max(n - window - horizon + 1, 0)
-    if count_multi:
-        midx = np.arange(horizon)[None, :] + window + np.arange(count_multi)[:, None]
-        multistep = values[midx]
-    else:
-        multistep = np.empty((0, horizon, s))
-    return inputs, targets, multistep
+    idx = np.arange(window)[None, :] + np.arange(n - window)[:, None]
+    return values[idx], values[window:]
 
 
 # ----------------------------------------------------------------------
@@ -195,7 +175,7 @@ def init_model(input_dim: int, cfg: TrainConfig,
         "Wo": glorot(D, s, (D, s)),
         "bo": np.zeros(s),
     }
-    return LstmModel(input_dim=s, hidden_dim=H, dense_dim=D, output_dim=s,
+    return LstmModel(input_dim=s, hidden_dim=H, dense_dim=D,
                      params=params, dropout_rate=cfg.dropout,
                      norm_mean=np.asarray(norm_mean, dtype=np.float64),
                      norm_std=np.asarray(norm_std, dtype=np.float64))
@@ -204,33 +184,31 @@ def init_model(input_dim: int, cfg: TrainConfig,
 def _forward_batch(model: LstmModel, xb: np.ndarray, training: bool,
                    rng: np.random.Generator | None) -> tuple[np.ndarray, dict]:
     """xb: normalized (B, T, s) batch; returns normalized outputs (B, s)
-    and the cache needed for backpropagation."""
+    and the cache needed for backpropagation.  cs and hs start with the
+    zero initial state, so step t reads cs[t], hs[t] and writes t+1."""
     B, T, s = xb.shape
     H = model.hidden_dim
     p = model.params
     zx = (xb.reshape(B * T, s) @ p["Wx"]).reshape(B, T, 4 * H) + p["b"]
-    h = np.zeros((B, H))
-    c = np.zeros((B, H))
-    gates, cs, hs = [], [], []
+    gates, cs, hs = [], [np.zeros((B, H))], [np.zeros((B, H))]
     for t in range(T):
-        z = zx[:, t, :] + h @ p["Wh"]
+        z = zx[:, t, :] + hs[t] @ p["Wh"]
         i = _sigmoid(z[:, :H])
         f = _sigmoid(z[:, H:2 * H])
         g = np.tanh(z[:, 2 * H:3 * H])
         o = _sigmoid(z[:, 3 * H:])
-        c = f * c + i * g
-        h = o * np.tanh(c)
-        gates.append((i, f, g, o))
+        c = f * cs[t] + i * g
+        tc = np.tanh(c)
+        gates.append((i, f, g, o, tc))
         cs.append(c)
-        hs.append(h)
+        hs.append(o * tc)
+    hd, mask = hs[T], None
     if training and model.dropout_rate > 0.0:
         if rng is None:
             raise ValidationError("training-mode forward needs an RNG for dropout")
         keep = 1.0 - model.dropout_rate
         mask = (rng.random((B, H)) < keep) / keep
-    else:
-        mask = np.ones((B, H))
-    hd = hs[-1] * mask
+        hd = hd * mask
     pre_dense = hd @ p["Wd"] + p["bd"]
     dense = np.maximum(pre_dense, 0.0)
     out = dense @ p["Wo"] + p["bo"]
@@ -251,27 +229,24 @@ def _backward_batch(model: LstmModel, cache: dict,
     ddense = np.where(cache["pre_dense"] > 0, ddense, 0.0)
     grads["bd"] = ddense.sum(axis=0)
     grads["Wd"] = cache["hd"].T @ ddense
-    dh = (ddense @ p["Wd"].T) * cache["mask"]
+    dh = ddense @ p["Wd"].T
+    if cache["mask"] is not None:
+        dh = dh * cache["mask"]
     dc = np.zeros((B, H))
     dWh = np.zeros_like(p["Wh"])
     dzx = np.empty((B, T, 4 * H))
     gates, cs, hs = cache["gates"], cache["cs"], cache["hs"]
     for t in range(T - 1, -1, -1):
-        i, f, g, o = gates[t]
-        tc = np.tanh(cs[t])
+        i, f, g, o, tc = gates[t]
         do = dh * tc
         dc = dc + dh * o * (1.0 - tc * tc)
         dz = np.empty((B, 4 * H))
         dz[:, :H] = dc * g * i * (1.0 - i)
-        if t > 0:
-            dz[:, H:2 * H] = dc * cs[t - 1] * f * (1.0 - f)
-        else:
-            dz[:, H:2 * H] = 0.0
+        dz[:, H:2 * H] = dc * cs[t] * f * (1.0 - f)
         dz[:, 2 * H:3 * H] = dc * i * (1.0 - g * g)
         dz[:, 3 * H:] = do * o * (1.0 - o)
         dzx[:, t, :] = dz
-        if t > 0:
-            dWh += hs[t - 1].T @ dz
+        dWh += hs[t].T @ dz
         dh = dz @ p["Wh"].T
         dc = dc * f
     flat = dzx.reshape(B * T, 4 * H)
@@ -356,7 +331,7 @@ def train(ts: TimeSeries, cfg: TrainConfig) -> tuple[LstmModel, list[float]]:
     rng = np.random.default_rng(cfg.seed)
     model = init_model(s, cfg, mean, std, rng)
     normed = model.normalize(values)
-    inputs, targets, _ = make_windows(normed, cfg.window)
+    inputs, targets = make_windows(normed, cfg.window)
     inputs, targets = inputs[:n_train], targets[:n_train]
 
     adam = AdamState(model.params)
@@ -386,27 +361,29 @@ def predict_multistep(model: LstmModel, seed_window: np.ndarray,
     row drops out.  Dropout is disabled.  Returns (horizon, s)."""
     if horizon < 1:
         raise ValidationError("horizon must be at least 1")
-    window = np.asarray(seed_window, dtype=np.float64)
-    if window.ndim != 2 or window.shape[1] != model.input_dim:
-        raise ValidationError(
-            f"seed window shape {window.shape} incompatible with input dim {model.input_dim}")
-    preds = np.empty((horizon, model.input_dim))
+    seed_window = np.asarray(seed_window, dtype=np.float64)
+    if seed_window.ndim != 2 or seed_window.shape[1] != model.input_dim:
+        raise ValidationError(f"seed window shape {seed_window.shape} "
+                              f"incompatible with input dim {model.input_dim}")
+    T = seed_window.shape[0]
+    seq = np.empty((T + horizon, model.input_dim))
+    seq[:T] = seed_window
     for k in range(horizon):
-        pred, _ = lstm_forward(model, window, training=False)
-        preds[k] = pred
-        window = np.vstack([window[1:], pred])
-    return preds
+        seq[T + k], _ = lstm_forward(model, seq[k:k + T], training=False)
+    return seq[T:]
 
 
 def save_model(model: LstmModel, path) -> None:
     matio.write_record(path, _MODEL, (model.input_dim, model.hidden_dim, model.dense_dim,
-                                      model.output_dim, model.dropout_rate),
+                                      model.input_dim, model.dropout_rate),
                        [model.norm_mean, model.norm_std,
                         *(model.params[name] for name in _PARAM_ORDER)])
 
 
 def load_model(path) -> LstmModel:
-    (s, H, D, out_dim, dropout), (mean, std, *weights) = matio.read_record(path, _MODEL)
-    return LstmModel(input_dim=s, hidden_dim=H, dense_dim=D, output_dim=out_dim,
+    (s, H, D, out, dropout), (mean, std, *weights) = matio.read_record(path, _MODEL)
+    if out != s:
+        raise ValidationError(f"{path}: output width {out} differs from input width {s}")
+    return LstmModel(input_dim=s, hidden_dim=H, dense_dim=D,
                      params=dict(zip(_PARAM_ORDER, weights)), dropout_rate=dropout,
                      norm_mean=mean, norm_std=std)

@@ -165,6 +165,12 @@ def read_pgm(path) -> np.ndarray:
     parts = raw.split(b"\n", 3)
     if parts[0] != b"P5" or len(parts) < 4:
         raise ValidationError(f"{path}: not a binary PGM file")
-    width, height = (int(x) for x in parts[1].split())
+    try:
+        width, height = (int(x) for x in parts[1].split())
+    except ValueError as exc:
+        raise ValidationError(f"{path}: bad PGM size line {parts[1]!r}") from exc
+    if min(width, height) < 1 or len(parts[3]) < width * height:
+        raise ValidationError(f"{path}: PGM header says {width}x{height}, "
+                              f"payload has {len(parts[3])} bytes")
     return np.frombuffer(parts[3], dtype=np.uint8,
                          count=width * height).reshape(height, width)

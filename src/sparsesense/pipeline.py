@@ -188,6 +188,7 @@ def cmd_evaluate(cfg: RunConfig, out: Path) -> dict:
     horizon = min(pred_full.shape[1], truth.shape[1] - start)
     if pred_full.shape[0] != truth.shape[0]:
         raise ValidationError("prediction and truth have different spatial dimension")
+    frame = cfg.frame_shape(pred_full.shape[0]) if cfg.pgm else None
     timing_rows = []
     for stage in _STAGES[:-1]:
         report_path = out / f"report_{stage}.json"
@@ -208,16 +209,12 @@ def cmd_evaluate(cfg: RunConfig, out: Path) -> dict:
     metrics: dict = {"mean_rmse": float(np.mean(per_step)),
                      "final_rmse": per_step[-1]}
     if cfg.pgm:
-        height = cfg.frame_height or pred_full.shape[0]
-        width = cfg.frame_width
-        if height * width != pred_full.shape[0]:
-            raise ValidationError("frame_height * frame_width must equal m")
         frames_dir = out / "frames"
         frames_dir.mkdir(exist_ok=True)
         for k in (0, horizon - 1):
-            matio.write_pgm(truth[:, start + k].reshape(height, width),
+            matio.write_pgm(truth[:, start + k].reshape(frame),
                             frames_dir / f"truth_{k:04d}.pgm")
-            matio.write_pgm(pred_full[:, k].reshape(height, width),
+            matio.write_pgm(pred_full[:, k].reshape(frame),
                             frames_dir / f"pred_{k:04d}.pgm")
             artifacts += [f"frames/truth_{k:04d}.pgm", f"frames/pred_{k:04d}.pgm"]
     # timings.csv is run-dependent metadata, not part of the manifest

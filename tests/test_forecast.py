@@ -85,18 +85,17 @@ def test_interpolate_degenerate_input():
 
 def test_make_windows_counts():
     values = np.arange(51.0)[:, None]
-    inputs, targets, multi = make_windows(values, 50)
+    inputs, targets = make_windows(values, 50)
     assert inputs.shape == (1, 50, 1) and targets.shape == (1, 1)
-    inputs, targets, _ = make_windows(np.zeros((150, 2)), 50)
+    inputs, targets = make_windows(np.zeros((150, 2)), 50)
     assert inputs.shape[0] == targets.shape[0] == 100
 
 
-def test_make_windows_ramp_target_and_multistep():
+def test_make_windows_ramp_target():
     values = np.arange(200.0)[:, None]
-    inputs, targets, multi = make_windows(values, 50, horizon=100)
-    assert targets[0, 0] == 50.0
-    np.testing.assert_array_equal(multi[0, :, 0], np.arange(50.0, 150.0))
-    assert multi.shape[0] == 200 - 50 - 100 + 1
+    inputs, targets = make_windows(values, 50)
+    np.testing.assert_array_equal(inputs[3, :, 0], np.arange(3.0, 53.0))
+    np.testing.assert_array_equal(targets[:, 0], np.arange(50.0, 200.0))
 
 
 def test_make_windows_too_short():

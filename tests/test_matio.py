@@ -101,6 +101,15 @@ def test_pgm_constant_frame_is_black(tmp_path):
     assert not read_pgm(path).any()
 
 
+@pytest.mark.parametrize("raw", [b"P5\n2 2\n255\n\x01",   # 1 of 4 pixel bytes
+                                 b"P5\nx 2\n255\n\x01\x02"])  # non-numeric width
+def test_pgm_malformed_raises_validation_error_naming_file(tmp_path, raw):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(raw)
+    with pytest.raises(ValidationError, match="bad.pgm"):
+        read_pgm(path)
+
+
 def test_atomic_write_leaves_no_temp_on_failure(tmp_path):
     target = tmp_path / "out.bin"
     with pytest.raises(RuntimeError):

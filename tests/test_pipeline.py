@@ -5,6 +5,8 @@ import io
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -259,6 +261,7 @@ def test_cli_training_divergence_exit_3(workspace, tmp_path, capsys):
     "evaluate.baseline = x",      # no longer a key
     "synth.seed = -1",
     "train.seed = -1",
+    "evaluate.pgm = true\nevaluate.frame_width = 7",   # 7 does not divide m = 60
 ])
 def test_cli_bad_config_value_exit_2_before_any_stage(tmp_path, capsys, bad_line):
     cfg_path = tmp_path / "run.cfg"
@@ -352,6 +355,100 @@ def test_cli_evaluate_empty_prediction_exit_2(workspace, tmp_path, capsys):
     matio.write_matrix(np.zeros((60, 0)), out / pipeline.PRED_FULL_FILE)
     assert cli.main(["evaluate", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert pipeline.PRED_FULL_FILE in capsys.readouterr().err
+
+
+def test_cli_evaluate_frame_shape_checked_before_any_output(workspace, tmp_path, capsys):
+    # the config's m = 50 tiles as 2 x 25, the 60-row prediction does not
+    cfg_path, _, out = mutable_copy(workspace, tmp_path)
+    for name in (pipeline.RMSE_FILE, pipeline.TIMINGS_FILE, "report_evaluate.json"):
+        (out / name).unlink()
+    cfg = tmp_path / "pgm.cfg"
+    cfg.write_text(SMALL_CFG.replace("synth.m = 60", "synth.m = 50")
+                   + "evaluate.pgm = true\nevaluate.frame_width = 25\n")
+    assert cli.main(["evaluate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "frame_width" in capsys.readouterr().err
+    for name in (pipeline.RMSE_FILE, pipeline.TIMINGS_FILE, "report_evaluate.json", "frames"):
+        assert not (out / name).exists()
+
+
+@pytest.mark.parametrize("stage, extra", [
+    # a 1e-15 grid over the training span: ~3.7e16 rows
+    ("train", "train.interpolate = true\ntrain.dt = 1e-15\n"),
+    # a 1e16-step rollout buffer
+    ("predict", "train.horizon = 10000000000000000\n"),
+])
+def test_cli_oversized_allocation_exit_2(workspace, tmp_path, capsys, stage, extra):
+    _, _, out = mutable_copy(workspace, tmp_path)
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(SMALL_CFG + extra)
+    assert cli.main([stage, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cli_predict_model_output_width_mismatch_exit_2(workspace, tmp_path, capsys):
+    cfg_path, _, out = mutable_copy(workspace, tmp_path)
+    model = forecast.load_model(out / pipeline.MODEL_FILE)
+    s, p = model.input_dim, dict(model.params)
+    p["Wo"] = np.hstack([p["Wo"], p["Wo"][:, :1]])
+    p["bo"] = np.append(p["bo"], 0.0)
+    matio.write_record(out / pipeline.MODEL_FILE, forecast._MODEL,
+                       (s, model.hidden_dim, model.dense_dim, s + 1, model.dropout_rate),
+                       [model.norm_mean, model.norm_std,
+                        *(p[name] for name in forecast._PARAM_ORDER)])
+    assert cli.main(["predict", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert pipeline.MODEL_FILE in err and "Traceback" not in err
+
+
+SPANS_CFG = """\
+synth.m = 40
+synth.n = 60
+synth.rank = 2
+synth.scenario = 4
+synth.n_outliers = 2
+synth.time_jitter = 0.2
+osp.r = 2
+osp.s = 4
+train.window = 5
+train.horizon = 3
+train.epochs = 1
+train.hidden_dim = 4
+train.dense_dim = 4
+train.interpolate = true
+"""
+
+SPANS_CHILD = """\
+import sys
+from pathlib import Path
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import spans
+from sparsesense import config, pipeline
+tracer = spans.Tracer()
+wrapped = []
+wrap = tracer.wrap
+tracer.wrap = lambda name, fn, count=None: wrapped.append(name) or wrap(name, fn, count)
+spans.install(tracer)
+pipeline.run_all(config.parse_config(sys.argv[3]), Path(sys.argv[4]))
+called = set(tracer.aggregate()["spans"])
+print(len(wrapped), sorted(set(wrapped) - called))
+"""
+
+
+def test_perfbench_spans_reach_every_entry_point(tmp_path):
+    """perfbench/spans.py times layers by wrapping module attributes by
+    name; a run that reaches every target calls each wrapper at least once."""
+    cfg = tmp_path / "spans.cfg"
+    cfg.write_text(SPANS_CFG)
+    root = Path(__file__).resolve().parents[1]
+    src = Path(pipeline.__file__).resolve().parents[1]
+    child = subprocess.run(
+        [sys.executable, "-c", SPANS_CHILD, str(root / "perfbench"), str(src),
+         str(cfg), str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    count, missed = child.stdout.split(" ", 1)
+    assert int(count) >= 30 and missed.strip() == "[]", child.stdout
 
 
 def test_artifacts_get_plain_open_file_mode(workspace, tmp_path):
