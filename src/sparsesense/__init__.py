@@ -30,7 +30,6 @@ from .linalg import (
     svd_truncated,
 )
 from .osp import (
-    MeasurementSeries,
     SensorBasis,
     compress,
     compression_ratio,

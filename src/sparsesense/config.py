@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 
 from .decompose import RpcaConfig
-from .errors import ConstraintError, ValidationError
+from .errors import BoundsError, ConstraintError, ValidationError
 from .forecast import TrainConfig
 from .synth import GroundTruthSpec, Scenario, ScenarioSpec
 
@@ -64,6 +64,9 @@ class RunConfig:
             raise ValidationError("synth.seed and train.seed must be non-negative")
         if not 1 <= self.r <= self.s:
             raise ConstraintError(f"need 1 <= osp.r <= osp.s, got r={self.r}, s={self.s}")
+        if self.r > min(gt.m, gt.n) or self.s > gt.m:
+            raise BoundsError(f"need osp.r <= min(synth.m, synth.n) and osp.s <= synth.m, "
+                              f"got r={self.r}, s={self.s}, m={gt.m}, n={gt.n}")
         if not (self.dt > 0 and self.train_dt > 0 and 0.0 <= self.time_jitter < 1.0):
             raise ValidationError(
                 "need synth.dt > 0, train.dt > 0 and synth.time_jitter in [0, 1)")

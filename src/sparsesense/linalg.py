@@ -6,8 +6,11 @@ The truncated SVD and the threshold share one kernel, `svd_topk`: a block
 subspace iteration from fixed-seed random columns, so deterministic; the
 truncated SVD also forces the largest-magnitude entry of each left
 singular vector positive.  The pseudoinverse takes LAPACK's SVD through
-numpy.  Pivoted QR is implemented directly so the column tie-break rule
-is fully specified rather than platform-dependent.
+numpy.  Pivoted QR is greedy Gram-Schmidt on the residual columns.  Every
+greedy selection, here and in the sensor placement of `osp`, breaks ties
+through `greedy_argmax`: the lowest index within PIVOT_TIE_RTOL of the
+best score, so the choice is fully specified rather than left to roundoff
+or the platform.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 from .errors import BoundsError, DegenerateInputError, ValidationError
 from .rng import substream
 
-#: relative norm gap below which two pivot candidates count as tied
+#: relative gap in a greedy score below which two candidates count as tied
 PIVOT_TIE_RTOL = 1e-12
 
 #: default relative cutoff for small singular values in the pseudoinverse
@@ -168,60 +171,43 @@ def singular_value_threshold(A, tau: float, start: SvdFactors | None = None) -> 
     return SvdFactors(U=f.U, singular_values=f.singular_values - tau, V=f.V)
 
 
+def greedy_argmax(scores: np.ndarray) -> int:
+    """Index of the largest score; among scores within PIVOT_TIE_RTOL
+    (relative) of it, the lowest index.  The one tie rule of every greedy
+    selection, so a choice never hangs on roundoff or on the platform."""
+    return int(np.flatnonzero(scores >= scores.max() * (1.0 - PIVOT_TIE_RTOL))[0])
+
+
 def qr_column_pivot(A) -> tuple[np.ndarray, np.ndarray]:
-    """Householder QR with greedy column pivoting (Businger-Golub).
+    """Greedy column pivoting (Businger-Golub) by Gram-Schmidt on the
+    residual: each step picks the column of largest residual norm
+    (`greedy_argmax`, so ties go to the lowest column index), records that
+    norm, and subtracts the chosen direction from every column.
 
     Returns (pivot_indices, r_diagonal): the first min(m, n) pivots in
-    selection order, then the unselected columns, and the diagonal of R.
-    Ties in the residual column norms (within PIVOT_TIE_RTOL relative)
-    resolve to the lowest index so the pivots are platform-independent.
+    selection order, then the unselected columns in ascending order, and
+    the residual norms at selection, |diag R|.  A step whose residual is
+    all zero ends the selection; its norm and the later ones are zero.
     """
-    A = validate_matrix(A)
-    R = A.copy()
+    R = validate_matrix(A).copy()
     m, n = R.shape
-    steps = min(m, n)
-    perm = np.arange(n)
-    norms2 = np.sum(R * R, axis=0)
-    if not np.any(norms2 > 0):
-        raise DegenerateInputError("all-zero matrix has no pivot order")
-    orig2 = norms2.copy()
-    rdiag = np.zeros(steps)
-    for k in range(steps):
-        tail = norms2[k:]
-        best = float(tail.max())
-        if best <= 0:
+    chosen = np.zeros(n, dtype=bool)
+    pivots = []
+    rdiag = np.zeros(min(m, n))
+    for k in range(rdiag.size):
+        norms2 = np.sum(R * R, axis=0)
+        norms2[chosen] = -np.inf
+        j = greedy_argmax(norms2)
+        if norms2[j] <= 0:
             break
-        # lowest index among near-ties
-        tied = np.nonzero(tail >= best * (1.0 - PIVOT_TIE_RTOL))[0]
-        j = k + int(tied[0])
-        if j != k:
-            R[:, [k, j]] = R[:, [j, k]]
-            perm[[k, j]] = perm[[j, k]]
-            norms2[[k, j]] = norms2[[j, k]]
-            orig2[[k, j]] = orig2[[j, k]]
-        # Householder reflector on column k below the diagonal
-        x = R[k:, k]
-        alpha = np.linalg.norm(x)
-        if alpha > 0:
-            if x[0] > 0:
-                alpha = -alpha
-            v = x.copy()
-            v[0] -= alpha
-            vnorm2 = v @ v
-            if vnorm2 > 0:
-                w = (R[k:, k:].T @ v) * (2.0 / vnorm2)
-                R[k:, k:] -= np.outer(v, w)
-            R[k, k] = alpha
-            R[k + 1:, k] = 0.0
-        rdiag[k] = R[k, k]
-        if k + 1 < n:
-            # norm downdate with recomputation when cancellation bites
-            norms2[k + 1:] -= R[k, k + 1:] ** 2
-            small = norms2[k + 1:] < 1e-12 * orig2[k + 1:]
-            if np.any(small):
-                idx = k + 1 + np.nonzero(small)[0]
-                norms2[idx] = np.sum(R[k + 1:, idx] ** 2, axis=0)
-    return perm, rdiag
+        rdiag[k] = np.sqrt(norms2[j])
+        q = R[:, j] / rdiag[k]
+        R -= np.outer(q, q @ R)
+        chosen[j] = True
+        pivots.append(j)
+    if not pivots:
+        raise DegenerateInputError("all-zero matrix has no pivot order")
+    return np.concatenate([pivots, np.flatnonzero(~chosen)]).astype(np.int64), rdiag
 
 
 def pseudoinverse(A, rcond: float = DEFAULT_RCOND) -> np.ndarray:

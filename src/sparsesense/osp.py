@@ -16,7 +16,7 @@ import numpy as np
 
 from . import matio
 from .errors import BoundsError, ConstraintError, ValidationError
-from .linalg import (PIVOT_TIE_RTOL, pseudoinverse, qr_column_pivot,
+from .linalg import (greedy_argmax, pseudoinverse, qr_column_pivot,
                      svd_truncated, validate_matrix)
 
 _BASIS = matio.Record(b"OSPB", "<HIII", 1, lambda m, r, s: [
@@ -48,30 +48,15 @@ class SensorBasis:
     def s(self) -> int:
         return len(self.sensor_indices)
 
-    @property
-    def sorted_indices(self) -> np.ndarray:
-        return np.sort(self.sensor_indices)
-
-
-@dataclass(frozen=True)
-class MeasurementSeries:
-    """Sensor rows of a data matrix over time: Y is (s, n)."""
-
-    sensor_indices: np.ndarray
-    Y: np.ndarray
-
-    def __post_init__(self):
-        if self.Y.shape[0] != len(self.sensor_indices):
-            raise ValidationError("measurement rows do not match sensor count")
-
 
 def fit_basis(L, r: int, s: int | None = None) -> SensorBasis:
     """Fit modes and sensor rows on the (cleaned) data matrix L.
 
     The first r sensors are the column pivots of modes.T.  Each further
     one maximizes det(Theta^T Theta) of the chosen mode rows Theta: it is
-    the row psi of largest leverage psi^T P psi, P = (Theta^T Theta)^-1
-    (lowest index among near-ties), and P gets a Sherman-Morrison update.
+    the row psi of largest leverage psi^T P psi, P = (Theta^T Theta)^-1,
+    and P gets a Sherman-Morrison update.  Both greedy loops break ties
+    by `linalg.greedy_argmax`: the lowest row index among near-ties.
     """
     L = validate_matrix(L)
     m = L.shape[0]
@@ -90,7 +75,7 @@ def fit_basis(L, r: int, s: int | None = None) -> SensorBasis:
     leverage = np.sum((modes @ P) * modes, axis=1)
     for _ in range(s - r):
         leverage[indices] = -np.inf
-        j = int(np.nonzero(leverage >= leverage.max() * (1.0 - PIVOT_TIE_RTOL))[0][0])
+        j = greedy_argmax(leverage)
         w = P @ modes[j] / np.sqrt(1.0 + leverage[j])
         P -= np.outer(w, w)
         leverage -= (modes @ w) ** 2
@@ -100,14 +85,13 @@ def fit_basis(L, r: int, s: int | None = None) -> SensorBasis:
     return SensorBasis(modes=modes, sensor_indices=indices, theta_pinv=theta_pinv)
 
 
-def compress(X, basis: SensorBasis) -> MeasurementSeries:
-    """Extract the sensor rows of X, in selection order."""
+def compress(X, basis: SensorBasis) -> np.ndarray:
+    """The (s, n) sensor rows of X, in selection order."""
     X = validate_matrix(X)
     if X.shape[0] != basis.m:
         raise ValidationError(
             f"matrix has {X.shape[0]} rows, basis expects {basis.m}")
-    return MeasurementSeries(sensor_indices=basis.sensor_indices.copy(),
-                             Y=X[basis.sensor_indices, :].copy())
+    return X[basis.sensor_indices, :]
 
 
 def reconstruct(y, basis: SensorBasis) -> np.ndarray:

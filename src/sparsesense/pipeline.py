@@ -119,9 +119,8 @@ def cmd_compress(cfg: RunConfig, out: Path) -> dict:
     t0 = time.perf_counter()
     L = matio.read_matrix(out / CLEAN_L_FILE)
     basis = osp.fit_basis(L, cfg.r, cfg.s)
-    series = osp.compress(L, basis)
     osp.save_basis(basis, out / BASIS_FILE)
-    matio.write_matrix(series.Y, out / MEASUREMENTS_FILE)
+    matio.write_matrix(osp.compress(L, basis), out / MEASUREMENTS_FILE)
     metrics = {"r": cfg.r, "s": cfg.s,
                "sensor_indices": [int(i) for i in basis.sensor_indices],
                "compression_ratio": osp.compression_ratio(basis.m, cfg.s)}
@@ -234,6 +233,11 @@ STAGE_FUNCS = {
 
 def run_all(cfg: RunConfig, out: Path) -> dict[str, dict]:
     """Run every stage in order; returns the per-stage reports."""
+    # holdout defaults to train.horizon, which may reach synth.n in a config
+    # meant for the early stages only; it is checked once train will run
+    if cfg.holdout >= cfg.ground_truth.n:
+        raise ValidationError(f"train.holdout = {cfg.holdout} leaves no training "
+                              f"frame of synth.n = {cfg.ground_truth.n}")
     out.mkdir(parents=True, exist_ok=True)
     return {stage: STAGE_FUNCS[stage](cfg, out) for stage in _STAGES}
 

@@ -40,7 +40,6 @@ class GroundTruthSpec:
     n: int
     rank: int
     smoothness: float = 0.08   # bump width as a fraction of the spatial dimension
-    temporal_freqs: tuple[float, ...] | None = None
     amplitude: float = 10.0
     seed: int = 0
 
@@ -91,11 +90,8 @@ def generate_ground_truth(spec: GroundTruthSpec) -> np.ndarray:
         center = rng.uniform(0.1 * m, 0.9 * m)
         width = spec.smoothness * m * (0.5 + rng.random())
         u = np.exp(-((rows - center) ** 2) / (2.0 * width * width))
-        if spec.temporal_freqs is not None:
-            freq = spec.temporal_freqs[k % len(spec.temporal_freqs)]
-        else:
-            # distinct integer-offset frequencies keep the factors well separated
-            freq = k + 1 + rng.random()
+        # distinct integer-offset frequencies keep the factors well separated
+        freq = k + 1 + rng.random()
         phase = rng.uniform(0.0, 2.0 * math.pi)
         drift = rng.uniform(-0.5, 0.5)
         amp = spec.amplitude / (1.0 + 0.5 * k)

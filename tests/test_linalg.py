@@ -325,6 +325,26 @@ def test_pivot_tie_break_first_occurrence_wins():
     assert pivots.tolist().index(2) > pivots.tolist().index(1)
 
 
+def test_pivot_tie_resolves_to_lowest_column_index():
+    # columns 0 and 1 tie after column 2; the lowest index goes first
+    assert qr_column_pivot(np.diag([1.0, 1.0, 3.0]))[0].tolist() == [2, 0, 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(1, 8), k=st.integers(1, 6), n=st.integers(2, 12),
+       seed=st.integers(0, 2**32 - 1))
+def test_pivot_ties_match_greedy_oracle(m, k, n, seed):
+    # every column copies one of k random columns, flipped in sign or scaled
+    # by a power of two (both exact), so residual norms tie exactly; past
+    # the numerical rank the pivots are set by roundoff and not compared
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((m, k))
+    A = base[:, rng.integers(0, k, n)] * rng.choice([-2.0, -1.0, 0.5, 1.0, 2.0], n)
+    pivots, rdiag = qr_column_pivot(A)
+    rank = int(np.count_nonzero(np.abs(rdiag) > 1e-8 * abs(rdiag[0])))
+    assert pivots[:rank].tolist() == greedy_pivot_oracle(A)[:rank]
+
+
 def test_pivot_matches_greedy_orthogonalization_oracle():
     A = np.random.default_rng(31).standard_normal((4, 6))
     pivots, _ = qr_column_pivot(A)

@@ -262,6 +262,9 @@ def test_cli_training_divergence_exit_3(workspace, tmp_path, capsys):
     "synth.seed = -1",
     "train.seed = -1",
     "evaluate.pgm = true\nevaluate.frame_width = 7",   # 7 does not divide m = 60
+    "osp.s = 61",                 # more sensors than m = 60 rows
+    "osp.r = 61\nosp.s = 61",     # more modes than min(m, n) = 60
+    "train.holdout = 80",         # no training frame of n = 80 left
 ])
 def test_cli_bad_config_value_exit_2_before_any_stage(tmp_path, capsys, bad_line):
     cfg_path = tmp_path / "run.cfg"
@@ -270,7 +273,16 @@ def test_cli_bad_config_value_exit_2_before_any_stage(tmp_path, capsys, bad_line
     assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
-    assert not list(tmp_path.rglob("report_*.json"))
+    assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["run.cfg"]
+
+
+def test_cli_synth_stage_runs_with_holdout_reaching_n(tmp_path):
+    # a synth-only config (perfbench's synth-mix) keeps the default holdout
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(SMALL_CFG + "train.holdout = 80\n")
+    out = tmp_path / "out"
+    assert cli.main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert (out / "report_synth.json").exists()
 
 
 def test_cli_negative_seed_flag_exit_2_before_any_stage(tmp_path, capsys):
