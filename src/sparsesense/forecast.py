@@ -6,6 +6,12 @@ forecasts are produced by closed-loop rollout.  Includes uniform-time
 linear interpolation for irregularly sampled series and windowed dataset
 construction.
 
+The rollout runs each sliding window from the zero state, as training
+does, but not one window at a time: the first window is a plain forward
+pass over the seed rows, and the later windows advance as one wavefront,
+all windows in flight reading the same row in one batched step (see
+`predict_multistep`).
+
 Gate weights are packed as four H-wide blocks in the fixed order
 [input, forget, candidate, output]:
 
@@ -154,6 +160,30 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-z))
 
 
+def _cell(z: np.ndarray, c: np.ndarray) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """One LSTM step for a batch of rows: gate pre-activations z (B, 4H)
+    and cell state c (B, H) -> the gates (i, f, g, o, tanh(c')) kept for
+    backpropagation, the new cell state c' and hidden state h'."""
+    H = c.shape[1]
+    i = _sigmoid(z[:, :H])
+    f = _sigmoid(z[:, H:2 * H])
+    g = np.tanh(z[:, 2 * H:3 * H])
+    o = _sigmoid(z[:, 3 * H:])
+    c = f * c + i * g
+    tc = np.tanh(c)
+    return (i, f, g, o, tc), c, o * tc
+
+
+def _head(p: dict[str, np.ndarray], hd: np.ndarray
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense ReLU layer and linear output on final hidden states (B, H):
+    returns the dense pre-activation, the dense output and the
+    normalized prediction (B, s)."""
+    pre_dense = hd @ p["Wd"] + p["bd"]
+    dense = np.maximum(pre_dense, 0.0)
+    return pre_dense, dense, dense @ p["Wo"] + p["bo"]
+
+
 def init_model(input_dim: int, cfg: TrainConfig,
                norm_mean: np.ndarray, norm_std: np.ndarray,
                rng: np.random.Generator) -> LstmModel:
@@ -192,16 +222,10 @@ def _forward_batch(model: LstmModel, xb: np.ndarray, training: bool,
     zx = (xb.reshape(B * T, s) @ p["Wx"]).reshape(B, T, 4 * H) + p["b"]
     gates, cs, hs = [], [np.zeros((B, H))], [np.zeros((B, H))]
     for t in range(T):
-        z = zx[:, t, :] + hs[t] @ p["Wh"]
-        i = _sigmoid(z[:, :H])
-        f = _sigmoid(z[:, H:2 * H])
-        g = np.tanh(z[:, 2 * H:3 * H])
-        o = _sigmoid(z[:, 3 * H:])
-        c = f * cs[t] + i * g
-        tc = np.tanh(c)
-        gates.append((i, f, g, o, tc))
+        step, c, h = _cell(zx[:, t, :] + hs[t] @ p["Wh"], cs[t])
+        gates.append(step)
         cs.append(c)
-        hs.append(o * tc)
+        hs.append(h)
     hd, mask = hs[T], None
     if training and model.dropout_rate > 0.0:
         if rng is None:
@@ -209,9 +233,7 @@ def _forward_batch(model: LstmModel, xb: np.ndarray, training: bool,
         keep = 1.0 - model.dropout_rate
         mask = (rng.random((B, H)) < keep) / keep
         hd = hd * mask
-    pre_dense = hd @ p["Wd"] + p["bd"]
-    dense = np.maximum(pre_dense, 0.0)
-    out = dense @ p["Wo"] + p["bo"]
+    pre_dense, dense, out = _head(p, hd)
     cache = {"xb": xb, "gates": gates, "cs": cs, "hs": hs,
              "mask": mask, "hd": hd, "pre_dense": pre_dense, "dense": dense}
     return out, cache
@@ -260,9 +282,9 @@ def lstm_forward(model: LstmModel, sequence: np.ndarray, training: bool = False,
                  rng: np.random.Generator | None = None) -> tuple[np.ndarray, dict]:
     """One de-normalized prediction from one raw (T, s) input sequence."""
     sequence = np.asarray(sequence, dtype=np.float64)
-    if sequence.ndim != 2 or sequence.shape[1] != model.input_dim:
-        raise ValidationError(
-            f"sequence shape {sequence.shape} incompatible with input dim {model.input_dim}")
+    if sequence.ndim != 2 or sequence.shape[1] != model.input_dim or not len(sequence):
+        raise ValidationError(f"sequence shape {sequence.shape} is not (T >= 1, "
+                              f"input dim {model.input_dim})")
     xn = model.normalize(sequence)[None, :, :]
     out, cache = _forward_batch(model, xn, training, rng)
     return model.denormalize(out[0]), cache
@@ -358,18 +380,38 @@ def train(ts: TimeSeries, cfg: TrainConfig) -> tuple[LstmModel, list[float]]:
 def predict_multistep(model: LstmModel, seed_window: np.ndarray,
                       horizon: int) -> np.ndarray:
     """Closed-loop rollout: each prediction joins the window, the oldest
-    row drops out.  Dropout is disabled.  Returns (horizon, s)."""
+    row drops out.  Dropout is disabled.  Returns (horizon, s).
+
+    Window k reads rows k..k+T-1 of seed + predictions and predicts row
+    T+k.  Window 0 reads only seed rows, all known up front, so it is the
+    plain `lstm_forward(seed_window)` and the first step equals a direct
+    forward pass bit for bit.  Windows 1.. run as one wavefront: at wave
+    tau every window in flight reads row tau, at its own position, so
+    row tau is projected once and the recurrent product of all of them
+    is one GEMM; the window that ends at wave tau writes row tau + 1
+    before wave tau + 1 reads it.  That is T + horizon - 2 waves (none
+    at horizon 1), not T * horizon steps.  The state is kept by
+    position, not by window: h[p], c[p] belong to the window that has
+    read p rows, and row 0 is the zero state, so memory is O(T * H)
+    whatever the horizon.  Rows 1.. differ from a per-window forward
+    pass only by GEMM-against-GEMV rounding.
+    """
     if horizon < 1:
         raise ValidationError("horizon must be at least 1")
-    seed_window = np.asarray(seed_window, dtype=np.float64)
-    if seed_window.ndim != 2 or seed_window.shape[1] != model.input_dim:
-        raise ValidationError(f"seed window shape {seed_window.shape} "
-                              f"incompatible with input dim {model.input_dim}")
-    T = seed_window.shape[0]
+    first, _ = lstm_forward(model, seed_window)
+    T, H, p = len(seed_window), model.hidden_dim, model.params
     seq = np.empty((T + horizon, model.input_dim))
     seq[:T] = seed_window
-    for k in range(horizon):
-        seq[T + k], _ = lstm_forward(model, seq[k:k + T], training=False)
+    seq[T] = first
+    h, c = np.zeros((T + 1, H)), np.zeros((T + 1, H))
+    # window 1 reads row 1 at wave 1; window horizon - 1 ends at wave T + horizon - 2
+    for tau in range(1, T + horizon - 1 if horizon > 1 else 1):
+        # window tau - p sits at position p, for p in lo..hi-1; each moves up one
+        lo, hi = max(0, tau - horizon + 1), min(tau, T)
+        zx = model.normalize(seq[tau:tau + 1]) @ p["Wx"] + p["b"]
+        _, c[lo + 1:hi + 1], h[lo + 1:hi + 1] = _cell(zx + h[lo:hi] @ p["Wh"], c[lo:hi])
+        if hi == T:
+            seq[tau + 1] = model.denormalize(_head(p, h[T:])[2][0])
     return seq[T:]
 
 

@@ -128,18 +128,25 @@ def cmd_compress(cfg: RunConfig, out: Path) -> dict:
                          metrics, [BASIS_FILE, MEASUREMENTS_FILE])
 
 
-def _training_series(cfg: RunConfig, out: Path) -> forecast.TimeSeries:
-    """Measurement series restricted to the training span, interpolated to
-    a uniform grid when train.interpolate is set."""
-    values = matio.read_matrix(out / MEASUREMENTS_FILE).T
-    times = matio.read_matrix_csv(out / TIMESTAMPS_FILE)[:, 0]
-    if cfg.holdout >= values.shape[0]:
-        raise ValidationError("train.holdout leaves no training samples")
-    cut = values.shape[0] - cfg.holdout
-    ts = forecast.TimeSeries(timestamps=times[:cut], values=values[:cut])
+def _training_span(cfg: RunConfig, times: np.ndarray,
+                   values: np.ndarray) -> forecast.TimeSeries:
+    """The (n, c) series at times (n,) restricted to the training span,
+    interpolated to a uniform grid when train.interpolate is set."""
+    n = times.shape[0]
+    if cfg.holdout >= n:
+        raise ValidationError(f"train.holdout = {cfg.holdout} leaves no training "
+                              f"frame of {n}")
+    ts = forecast.TimeSeries(timestamps=times[:n - cfg.holdout],
+                             values=values[:n - cfg.holdout])
     if cfg.interpolate:
         ts = forecast.interpolate_uniform(ts, cfg.train_dt)
     return ts
+
+
+def _training_series(cfg: RunConfig, out: Path) -> forecast.TimeSeries:
+    """The measurement series the train and predict stages see."""
+    return _training_span(cfg, matio.read_matrix_csv(out / TIMESTAMPS_FILE)[:, 0],
+                          matio.read_matrix(out / MEASUREMENTS_FILE).T)
 
 
 def cmd_train(cfg: RunConfig, out: Path) -> dict:
@@ -234,10 +241,15 @@ STAGE_FUNCS = {
 def run_all(cfg: RunConfig, out: Path) -> dict[str, dict]:
     """Run every stage in order; returns the per-stage reports."""
     # holdout defaults to train.horizon, which may reach synth.n in a config
-    # meant for the early stages only; it is checked once train will run
-    if cfg.holdout >= cfg.ground_truth.n:
-        raise ValidationError(f"train.holdout = {cfg.holdout} leaves no training "
-                              f"frame of synth.n = {cfg.ground_truth.n}")
+    # meant for the early stages only, so the training span is checked here,
+    # once train will run.  The synth stage's timestamps are a function of
+    # the config, and a series of zero channels has the training length.
+    times = _sample_times(cfg)
+    length = len(_training_span(cfg, times, np.empty((times.shape[0], 0))))
+    if cfg.train.window + 1 > length:
+        raise ValidationError(f"train.window = {cfg.train.window} needs "
+                              f"{cfg.train.window + 1} training samples, the "
+                              f"training series has {length}")
     out.mkdir(parents=True, exist_ok=True)
     return {stage: STAGE_FUNCS[stage](cfg, out) for stage in _STAGES}
 

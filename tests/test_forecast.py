@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from sparsesense import forecast
 from sparsesense.errors import TrainingDivergenceError, ValidationError
 from sparsesense.forecast import (
     TimeSeries,
@@ -161,6 +164,8 @@ def test_forward_shape_validation():
     model = tiny_model()
     with pytest.raises(ValidationError):
         lstm_forward(model, np.zeros((4, 3)))
+    with pytest.raises(ValidationError):  # no rows: no forecast, not the biases
+        lstm_forward(model, np.zeros((0, 2)))
 
 
 # ----------------------------------------------------------------------
@@ -279,6 +284,63 @@ def test_predict_shape_validation():
         predict_multistep(model, np.zeros((4, 3)), 5)
     with pytest.raises(ValidationError):
         predict_multistep(model, np.zeros((4, 2)), 0)
+    with pytest.raises(ValidationError):
+        predict_multistep(model, np.zeros((0, 2)), 5)
+
+
+def random_model(s, H, D, seed):
+    """A model whose every weight, bias and normalization entry is drawn,
+    so no gate sits at its initial value."""
+    rng = np.random.default_rng(seed)
+    model = tiny_model(input_dim=s, hidden=H, dense=D, seed=seed)
+    for v in model.params.values():
+        v[...] = 0.7 * rng.standard_normal(v.shape)
+    model.norm_mean[:] = rng.standard_normal(s)
+    model.norm_std[:] = rng.uniform(0.5, 2.0, s)
+    return model
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=st.integers(1, 4), H=st.integers(1, 8), D=st.integers(1, 4),
+       T=st.integers(1, 12), horizon=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+@example(s=2, H=5, D=3, T=12, horizon=3, seed=0)    # horizon < T
+@example(s=2, H=5, D=3, T=7, horizon=7, seed=1)     # horizon = T
+@example(s=3, H=8, D=4, T=4, horizon=30, seed=2)    # horizon > T
+@example(s=1, H=1, D=1, T=1, horizon=2, seed=3)
+def test_rollout_rows_equal_forward_pass_on_their_windows(s, H, D, T, horizon, seed):
+    model = random_model(s, H, D, seed)
+    window = np.random.default_rng(seed + 1).standard_normal((T, s))
+    pred = predict_multistep(model, window, horizon)
+    assert pred.shape == (horizon, s)
+    np.testing.assert_array_equal(pred[0], lstm_forward(model, window)[0])
+    # rows 1.. batch the recurrent product across windows: float64 rounding only
+    seq = np.vstack([window, pred])
+    want = np.array([lstm_forward(model, seq[k:k + T])[0] for k in range(horizon)])
+    assert np.abs(pred - want).max() <= 1e-12 * np.abs(pred).max()
+
+
+def test_rollout_state_does_not_grow_with_horizon():
+    model = random_model(16, 128, 16, seed=4)
+    window = np.random.default_rng(5).standard_normal((50, 16))
+    horizon = 20_000
+    tracemalloc.start()
+    try:
+        pred = predict_multistep(model, window, horizon)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (horizon, H) state array alone would take 20 MB, h and c together 40
+    assert peak < pred.nbytes + 16 * 2**20
+
+
+@pytest.mark.parametrize("horizon", [1, 5, 100])
+def test_rollout_runs_one_forward_pass_per_call(monkeypatch, horizon):
+    calls = []
+    direct = forecast.lstm_forward
+    monkeypatch.setattr(forecast, "lstm_forward",
+                        lambda *args, **kw: calls.append(1) or direct(*args, **kw))
+    predict_multistep(random_model(2, 4, 3, seed=6), np.ones((10, 2)), horizon)
+    assert len(calls) == 1
 
 
 # ----------------------------------------------------------------------

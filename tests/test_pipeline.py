@@ -265,6 +265,10 @@ def test_cli_training_divergence_exit_3(workspace, tmp_path, capsys):
     "osp.s = 61",                 # more sensors than m = 60 rows
     "osp.r = 61\nosp.s = 61",     # more modes than min(m, n) = 60
     "train.holdout = 80",         # no training frame of n = 80 left
+    "train.window = 90",          # longer than the 75 training frames
+    "train.window = 75",          # as long as them: no one-step target left
+    # 75 jittered frames over ~37 time units make a 19-row grid at dt 2
+    "train.interpolate = true\ntrain.dt = 2\nsynth.time_jitter = 0.2\ntrain.window = 60",
 ])
 def test_cli_bad_config_value_exit_2_before_any_stage(tmp_path, capsys, bad_line):
     cfg_path = tmp_path / "run.cfg"
