@@ -6,6 +6,17 @@ forecasts are produced by closed-loop rollout.  Includes uniform-time
 linear interpolation for irregularly sampled series and windowed dataset
 construction.
 
+A training batch runs on one time-major `Workspace` that `train`
+allocates once per call, sized for its largest batch: inputs (T, B, s),
+gates (T, 4, B, H), cell and hidden states (T + 1, B, H), tanh(c)
+(T, B, H) and gate gradients (T, B, 4H).  The input projection is one
+batched product before the time loop; the gates are activated in place,
+gate-major, so the elementwise work of a step runs on contiguous (B, H)
+blocks; and after BPTT the weight gradients dWh, dWx and db are each
+one GEMM or one reduction over all T * B rows, not T rank-B updates
+(Appleyard, Kočiský & Blunsom, arXiv:1604.01946).  A batch allocates no
+buffer that grows with T.
+
 The rollout runs each sliding window from the zero state, as training
 does, but not one window at a time: the first window is a plain forward
 pass over the seed rows, and the later windows advance as one wavefront,
@@ -156,22 +167,82 @@ def make_windows(values: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarra
 # ----------------------------------------------------------------------
 # network core
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-z))
+def _sigmoid(z: np.ndarray) -> None:
+    """Logistic function in place.  For z < -709, exp(-z) overflows to inf
+    and 1 / (1 + inf) is the exact limit 0, so callers switch off the
+    overflow warning."""
+    np.exp(np.negative(z, out=z), out=z)
+    z += 1.0
+    np.divide(1.0, z, out=z)
+
+
+def _step(z: np.ndarray, c: np.ndarray, c_next: np.ndarray, tc: np.ndarray,
+          h_next: np.ndarray) -> None:
+    """One LSTM step for a batch of rows, in place: the gate
+    pre-activations z (4, B, H) become the gates [i, f, g, o], and the
+    cell state c (B, H) gives c_next, tc = tanh(c_next) and h_next."""
+    with np.errstate(over="ignore"):
+        _sigmoid(z[:2])
+        _sigmoid(z[3])
+    i, f, g, o = z
+    np.tanh(g, out=g)
+    np.multiply(f, c, out=c_next)
+    c_next += np.multiply(i, g, out=tc)
+    np.tanh(c_next, out=tc)
+    np.multiply(o, tc, out=h_next)
 
 
 def _cell(z: np.ndarray, c: np.ndarray) -> tuple[tuple, np.ndarray, np.ndarray]:
     """One LSTM step for a batch of rows: gate pre-activations z (B, 4H)
     and cell state c (B, H) -> the gates (i, f, g, o, tanh(c')) kept for
     backpropagation, the new cell state c' and hidden state h'."""
-    H = c.shape[1]
-    i = _sigmoid(z[:, :H])
-    f = _sigmoid(z[:, H:2 * H])
-    g = np.tanh(z[:, 2 * H:3 * H])
-    o = _sigmoid(z[:, 3 * H:])
-    c = f * c + i * g
-    tc = np.tanh(c)
-    return (i, f, g, o, tc), c, o * tc
+    B, H = c.shape
+    gates = np.ascontiguousarray(z.reshape(B, 4, H).transpose(1, 0, 2))
+    c_next, tc, h_next = np.empty_like(c), np.empty_like(c), np.empty_like(c)
+    _step(gates, c, c_next, tc, h_next)
+    return (*gates, tc), c_next, h_next
+
+
+def _gate_major(W: np.ndarray) -> np.ndarray:
+    """(n, 4H) weights as (4, n, H): one (n, H) block per gate."""
+    n, H = W.shape[0], W.shape[1] // 4
+    return np.ascontiguousarray(W.reshape(n, 4, H).transpose(1, 0, 2))
+
+
+class Workspace:
+    """Time-major buffers for batches of up to `batch` windows of T rows,
+    s channels and H hidden units:
+
+        x     (T, B, s)      inputs
+        z     (T, 4, B, H)   gate pre-activations, activated in place
+        cs    (T + 1, B, H)  cell states, row 0 the zero initial state
+        hs    (T + 1, B, H)  hidden states, likewise
+        tcs   (T, B, H)      tanh of cs[1:]
+        dz    (T, B, 4H)     gate gradients
+
+    z is gate-major, so each gate of a step is one contiguous (B, H)
+    block and the elementwise work runs on contiguous arrays.  A batch
+    of B windows takes contiguous views of each buffer's leading part,
+    so one workspace serves every batch of a training run, the shorter
+    last one included."""
+
+    def __init__(self, batch: int, T: int, s: int, H: int):
+        self.batch, self.dims = batch, (T, s, H)
+        self._buffers = [np.empty(math.prod(shape)) for shape in self._shapes(batch)]
+
+    def _shapes(self, B: int) -> tuple[tuple[int, ...], ...]:
+        T, s, H = self.dims
+        return ((T, B, s), (T, 4, B, H), (T + 1, B, H), (T + 1, B, H), (T, B, H),
+                (T, B, 4 * H))
+
+    def views(self, B: int, T: int, s: int, H: int) -> list[np.ndarray]:
+        """x, z, cs, hs, tcs, dz for a batch of B windows."""
+        if not 1 <= B <= self.batch or (T, s, H) != self.dims:
+            raise ValidationError(f"a batch of {B} windows with (T, s, H) = {(T, s, H)} does "
+                                  f"not fit a workspace for up to {self.batch} windows "
+                                  f"with (T, s, H) = {self.dims}")
+        return [buf[:math.prod(shape)].reshape(shape)
+                for buf, shape in zip(self._buffers, self._shapes(B))]
 
 
 def _head(p: dict[str, np.ndarray], hd: np.ndarray
@@ -212,20 +283,27 @@ def init_model(input_dim: int, cfg: TrainConfig,
 
 
 def _forward_batch(model: LstmModel, xb: np.ndarray, training: bool,
-                   rng: np.random.Generator | None) -> tuple[np.ndarray, dict]:
+                   rng: np.random.Generator | None,
+                   workspace: Workspace | None = None) -> tuple[np.ndarray, dict]:
     """xb: normalized (B, T, s) batch; returns normalized outputs (B, s)
-    and the cache needed for backpropagation.  cs and hs start with the
-    zero initial state, so step t reads cs[t], hs[t] and writes t+1."""
+    and the cache needed for backpropagation, which holds views of the
+    workspace (a fresh one when none is given).  Step t reads cs[t],
+    hs[t] and writes t + 1."""
     B, T, s = xb.shape
     H = model.hidden_dim
     p = model.params
-    zx = (xb.reshape(B * T, s) @ p["Wx"]).reshape(B, T, 4 * H) + p["b"]
-    gates, cs, hs = [], [np.zeros((B, H))], [np.zeros((B, H))]
+    if workspace is None:
+        workspace = Workspace(B, T, s, H)
+    x, z, cs, hs, tcs, dz = workspace.views(B, T, s, H)
+    x[...] = xb.transpose(1, 0, 2)
+    np.matmul(x[:, None], _gate_major(p["Wx"]), out=z)
+    z += p["b"].reshape(4, 1, H)
+    cs[0] = 0.0
+    hs[0] = 0.0
+    Wh, zh = _gate_major(p["Wh"]), np.empty((4, B, H))
     for t in range(T):
-        step, c, h = _cell(zx[:, t, :] + hs[t] @ p["Wh"], cs[t])
-        gates.append(step)
-        cs.append(c)
-        hs.append(h)
+        z[t] += np.matmul(hs[t], Wh, out=zh)
+        _step(z[t], cs[t], cs[t + 1], tcs[t], hs[t + 1])
     hd, mask = hs[T], None
     if training and model.dropout_rate > 0.0:
         if rng is None:
@@ -234,17 +312,20 @@ def _forward_batch(model: LstmModel, xb: np.ndarray, training: bool,
         mask = (rng.random((B, H)) < keep) / keep
         hd = hd * mask
     pre_dense, dense, out = _head(p, hd)
-    cache = {"xb": xb, "gates": gates, "cs": cs, "hs": hs,
+    cache = {"x": x, "gates": z, "cs": cs, "hs": hs, "tcs": tcs, "dz": dz,
              "mask": mask, "hd": hd, "pre_dense": pre_dense, "dense": dense}
     return out, cache
 
 
 def _backward_batch(model: LstmModel, cache: dict,
                     dout: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradients of the loss wrt every parameter, given dL/d(output)."""
+    """Gradients of the loss wrt every parameter, given dL/d(output).
+    BPTT writes the gate gradients of every step into the workspace; the
+    weight gradients of the recurrent layer are then one GEMM or one
+    reduction each over all T * B rows."""
     p = model.params
-    xb = cache["xb"]
-    B, T, s = xb.shape
+    x, z, cs, hs, tcs, dz = (cache[k] for k in ("x", "gates", "cs", "hs", "tcs", "dz"))
+    T, B, s = x.shape
     H = model.hidden_dim
     grads = {"bo": dout.sum(axis=0), "Wo": cache["dense"].T @ dout}
     ddense = dout @ p["Wo"].T
@@ -253,28 +334,40 @@ def _backward_batch(model: LstmModel, cache: dict,
     grads["Wd"] = cache["hd"].T @ ddense
     dh = ddense @ p["Wd"].T
     if cache["mask"] is not None:
-        dh = dh * cache["mask"]
+        dh *= cache["mask"]
     dc = np.zeros((B, H))
-    dWh = np.zeros_like(p["Wh"])
-    dzx = np.empty((B, T, 4 * H))
-    gates, cs, hs = cache["gates"], cache["cs"], cache["hs"]
+    tmp, tmp2 = np.empty((B, H)), np.empty((B, H))
+    WhT = p["Wh"].T
     for t in range(T - 1, -1, -1):
-        i, f, g, o, tc = gates[t]
-        do = dh * tc
-        dc = dc + dh * o * (1.0 - tc * tc)
-        dz = np.empty((B, 4 * H))
-        dz[:, :H] = dc * g * i * (1.0 - i)
-        dz[:, H:2 * H] = dc * cs[t] * f * (1.0 - f)
-        dz[:, 2 * H:3 * H] = dc * i * (1.0 - g * g)
-        dz[:, 3 * H:] = do * o * (1.0 - o)
-        dzx[:, t, :] = dz
-        dWh += hs[t].T @ dz
-        dh = dz @ p["Wh"].T
-        dc = dc * f
-    flat = dzx.reshape(B * T, 4 * H)
-    grads["Wh"] = dWh
-    grads["Wx"] = xb.reshape(B * T, s).T @ flat
-    grads["b"] = flat.sum(axis=0)
+        i, f, g, o = z[t]
+        tc, dzt = tcs[t], dz[t]
+        dzi, dzf, dzg, dzo = dzt[:, :H], dzt[:, H:2 * H], dzt[:, 2 * H:3 * H], dzt[:, 3 * H:]
+        # dz_o = dh * tc * o * (1 - o)
+        np.multiply(dh, tc, out=tmp)
+        tmp *= o
+        np.multiply(tmp, np.subtract(1.0, o, out=tmp2), out=dzo)
+        # dc += dh * o * (1 - tc^2)
+        np.multiply(dh, o, out=tmp)
+        tmp *= np.subtract(1.0, np.multiply(tc, tc, out=tmp2), out=tmp2)
+        dc += tmp
+        # dz_i = dc * g * i * (1 - i)
+        np.multiply(dc, g, out=tmp)
+        tmp *= i
+        np.multiply(tmp, np.subtract(1.0, i, out=tmp2), out=dzi)
+        # dz_f = dc * c_prev * f * (1 - f)
+        np.multiply(dc, cs[t], out=tmp)
+        tmp *= f
+        np.multiply(tmp, np.subtract(1.0, f, out=tmp2), out=dzf)
+        # dz_g = dc * i * (1 - g^2)
+        np.multiply(dc, i, out=tmp)
+        np.multiply(tmp, np.subtract(1.0, np.multiply(g, g, out=tmp2), out=tmp2), out=dzg)
+        np.matmul(dzt, WhT, out=dh)
+        dc *= f
+    rows = dz.reshape(T * B, 4 * H)
+    # hs[0] is the zero state, so step 0 adds nothing to dWh
+    grads["Wh"] = hs[1:T].reshape((T - 1) * B, H).T @ dz[1:].reshape((T - 1) * B, 4 * H)
+    grads["Wx"] = x.reshape(T * B, s).T @ rows
+    grads["b"] = rows.sum(axis=0)
     return grads
 
 
@@ -292,10 +385,14 @@ def lstm_forward(model: LstmModel, sequence: np.ndarray, training: bool = False,
 
 def loss_and_grads(model: LstmModel, xb: np.ndarray, yb: np.ndarray,
                    training: bool = True,
-                   rng: np.random.Generator | None = None
+                   rng: np.random.Generator | None = None,
+                   workspace: Workspace | None = None
                    ) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean-squared error over a normalized batch plus its gradients."""
-    out, cache = _forward_batch(model, xb, training, rng)
+    """Mean-squared error over a normalized batch plus its gradients.
+    The batch runs on `workspace` when given (see `Workspace`), else on a
+    fresh one; the workspace is overwritten, and the result does not
+    depend on what it held."""
+    out, cache = _forward_batch(model, xb, training, rng, workspace)
     diff = out - yb
     loss = float(np.mean(diff ** 2))
     dout = 2.0 * diff / diff.size
@@ -314,19 +411,35 @@ class AdamState:
     def __init__(self, params: dict[str, np.ndarray]):
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self._scratch = {k: np.empty_like(v) for k, v in params.items()}
         self.t = 0
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
              cfg: TrainConfig) -> None:
+        """One Adam update, in place and in the operation order of
+
+            m <- b1 * m + (1 - b1) * g
+            v <- b2 * v + (1 - b2) * g * g
+            w <- w - lr * (m / bc1) / (sqrt(v / bc2) + eps)
+
+        so the bytes equal that expression's.  Each gradient array is
+        used as scratch and ends up holding the step subtracted from w."""
         self.t += 1
         b1, b2 = _ADAM_BETA1, _ADAM_BETA2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         for k, g in grads.items():
-            self.m[k] = b1 * self.m[k] + (1.0 - b1) * g
-            self.v[k] = b2 * self.v[k] + (1.0 - b2) * g * g
-            params[k] -= cfg.learning_rate * (self.m[k] / bc1) / (
-                np.sqrt(self.v[k] / bc2) + _ADAM_EPS)
+            m, v, w = self.m[k], self.v[k], self._scratch[k]
+            m *= b1
+            m += np.multiply(1.0 - b1, g, out=w)
+            v *= b2
+            np.multiply(1.0 - b2, g, out=w)
+            v += np.multiply(w, g, out=w)
+            np.sqrt(np.divide(v, bc2, out=w), out=w)
+            w += _ADAM_EPS
+            np.divide(m, bc1, out=g)
+            g *= cfg.learning_rate
+            params[k] -= np.divide(g, w, out=g)
 
 
 def train(ts: TimeSeries, cfg: TrainConfig) -> tuple[LstmModel, list[float]]:
@@ -357,6 +470,7 @@ def train(ts: TimeSeries, cfg: TrainConfig) -> tuple[LstmModel, list[float]]:
     inputs, targets = inputs[:n_train], targets[:n_train]
 
     adam = AdamState(model.params)
+    workspace = Workspace(min(cfg.batch_size, n_train), cfg.window, s, cfg.hidden_dim)
     history: list[float] = []
     scale2 = float(np.mean(model.norm_std ** 2))
     for epoch in range(cfg.epochs):
@@ -366,7 +480,7 @@ def train(ts: TimeSeries, cfg: TrainConfig) -> tuple[LstmModel, list[float]]:
         for start in range(0, n_train, cfg.batch_size):
             sel = order[start:start + cfg.batch_size]
             loss, grads = loss_and_grads(model, inputs[sel], targets[sel],
-                                         training=True, rng=rng)
+                                         training=True, rng=rng, workspace=workspace)
             if not np.isfinite(loss):
                 raise TrainingDivergenceError(epoch)
             sq_sum += loss * sel.size

@@ -207,8 +207,9 @@ print(json.dumps(times))
 
 def lstm_train_macs(channels: int, window: int, hidden: int, dense: int) -> int:
     """Multiply-adds per training window of `_forward_batch` plus
-    `_backward_batch`: input projection and its weight gradient, the
-    recurrent forward pass and BPTT, then the dense and output layers."""
+    `_backward_batch`: the input projection and its weight gradient
+    (8TsH), the recurrent products of the forward pass and of BPTT and
+    the dWh GEMM after it (12TH^2), then the dense and output layers."""
     return (8 * window * channels * hidden + 12 * window * hidden ** 2
             + 3 * hidden * dense + 3 * dense * channels)
 
@@ -222,7 +223,10 @@ def test_criterion_6_training_cost_scaling(report):
     # work, which W leaves out, lowers the real ratio further.  On a 2-core
     # host (numpy 2.4.6, OpenBLAS 0.3.31) the warm single-thread ratio read
     # 4.8-5.7x as the minimum of five pairs in six fresh processes, so the
-    # bound is 4x: below every reading and well below the ceiling.
+    # bound is 4x: below every reading and well below the ceiling.  Since
+    # training runs on a reused time-major workspace with the weight
+    # gradients batched over time, which cuts the channel-independent
+    # per-step work, the same reading on the same host is 7.8-8.9x.
     window, hidden, dense, pairs = 50, 128, 128, 5
     narrow, wide = 10, 2000
     bound = 4.0

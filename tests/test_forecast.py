@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import example, given, settings, strategies as st
 from sparsesense import forecast
 from sparsesense.errors import TrainingDivergenceError, ValidationError
 from sparsesense.forecast import (
+    AdamState,
     TimeSeries,
     TrainConfig,
+    Workspace,
     init_model,
     interpolate_uniform,
     load_model,
@@ -195,6 +198,131 @@ def test_bptt_gradients_match_finite_differences():
                 assert abs(fd - g) / max(abs(fd), abs(g)) <= 1e-4, (name, ix)
 
 
+def reference_loss_and_grads(model, xb, yb, rng):
+    """The per-step loop the training batch used to run, batch-major with
+    fresh arrays every step and dWh accumulated inside BPTT: the oracle
+    for the time-major workspace."""
+    def sigmoid(z):
+        return 1.0 / (1.0 + np.exp(-z))
+
+    B, T, s = xb.shape
+    H, p = model.hidden_dim, model.params
+    zx = (xb.reshape(B * T, s) @ p["Wx"]).reshape(B, T, 4 * H) + p["b"]
+    gates, cs, hs = [], [np.zeros((B, H))], [np.zeros((B, H))]
+    for t in range(T):
+        z = zx[:, t, :] + hs[t] @ p["Wh"]
+        i, f = sigmoid(z[:, :H]), sigmoid(z[:, H:2 * H])
+        g, o = np.tanh(z[:, 2 * H:3 * H]), sigmoid(z[:, 3 * H:])
+        cs.append(f * cs[t] + i * g)
+        tc = np.tanh(cs[-1])
+        hs.append(o * tc)
+        gates.append((i, f, g, o, tc))
+    hd, mask = hs[T], None
+    if model.dropout_rate > 0.0:
+        keep = 1.0 - model.dropout_rate
+        mask = (rng.random((B, H)) < keep) / keep
+        hd = hd * mask
+    pre_dense = hd @ p["Wd"] + p["bd"]
+    dense = np.maximum(pre_dense, 0.0)
+    diff = dense @ p["Wo"] + p["bo"] - yb
+    dout = 2.0 * diff / diff.size
+    grads = {"bo": dout.sum(axis=0), "Wo": dense.T @ dout}
+    ddense = np.where(pre_dense > 0, dout @ p["Wo"].T, 0.0)
+    grads["bd"], grads["Wd"] = ddense.sum(axis=0), hd.T @ ddense
+    dh = ddense @ p["Wd"].T
+    if mask is not None:
+        dh = dh * mask
+    dc, dWh, dzx = np.zeros((B, H)), np.zeros_like(p["Wh"]), np.empty((B, T, 4 * H))
+    for t in range(T - 1, -1, -1):
+        i, f, g, o, tc = gates[t]
+        do = dh * tc
+        dc = dc + dh * o * (1.0 - tc * tc)
+        dz = np.concatenate([dc * g * i * (1.0 - i), dc * cs[t] * f * (1.0 - f),
+                             dc * i * (1.0 - g * g), do * o * (1.0 - o)], axis=1)
+        dzx[:, t, :] = dz
+        dWh += hs[t].T @ dz
+        dh = dz @ p["Wh"].T
+        dc = dc * f
+    flat = dzx.reshape(B * T, 4 * H)
+    grads.update(Wh=dWh, Wx=xb.reshape(B * T, s).T @ flat, b=flat.sum(axis=0))
+    return float(np.mean(diff ** 2)), grads
+
+
+@settings(max_examples=40, deadline=None)
+@given(B=st.integers(1, 6), extra=st.integers(0, 3), T=st.integers(1, 8),
+       s=st.integers(1, 4), H=st.integers(1, 6), dropout=st.sampled_from([0.0, 0.3]),
+       seed=st.integers(0, 2**32 - 1))
+@example(B=1, extra=2, T=1, s=1, H=1, dropout=0.0, seed=0)
+@example(B=5, extra=3, T=8, s=3, H=6, dropout=0.3, seed=1)
+def test_workspace_reuse_matches_fresh_and_per_step_reference(B, extra, T, s, H,
+                                                              dropout, seed):
+    model = random_model(s, H, 3, seed)
+    model.dropout_rate = dropout
+    data = np.random.default_rng(seed + 1)
+    workspace = Workspace(B + extra, T, s, H)
+    loss_and_grads(model, 1e3 * data.standard_normal((B + extra, T, s)),
+                   data.standard_normal((B + extra, s)), rng=data, workspace=workspace)
+    xb, yb = data.standard_normal((B, T, s)), data.standard_normal((B, s))
+    reused = loss_and_grads(model, xb, yb, rng=np.random.default_rng(seed), workspace=workspace)
+    fresh = loss_and_grads(model, xb, yb, rng=np.random.default_rng(seed))
+    want_loss, want = reference_loss_and_grads(model, xb, yb, np.random.default_rng(seed))
+    assert reused[0] == fresh[0]
+    assert abs(reused[0] - want_loss) <= 1e-12 * abs(want_loss)
+    for k, g in want.items():
+        np.testing.assert_array_equal(reused[1][k], fresh[1][k])
+        assert np.abs(reused[1][k] - g).max() <= 1e-12 * np.abs(g).max(), k
+
+
+def test_workspace_rejects_a_batch_it_cannot_hold():
+    model = tiny_model()
+    xb, yb = np.zeros((3, 4, 2)), np.zeros((3, 2))
+    for workspace in (Workspace(2, 4, 2, 3), Workspace(3, 5, 2, 3), Workspace(3, 4, 2, 4)):
+        with pytest.raises(ValidationError):
+            loss_and_grads(model, xb, yb, training=False, workspace=workspace)
+
+
+def test_training_batch_allocates_no_step_sized_buffer():
+    B, T, s, H = 32, 50, 16, 128
+    model = random_model(s, H, H, seed=8)
+    data = np.random.default_rng(9)
+    xb, yb = data.standard_normal((B, T, s)), data.standard_normal((B, s))
+    workspace = Workspace(B, T, s, H)
+    loss_and_grads(model, xb, yb, rng=data, workspace=workspace)
+    tracemalloc.start()
+    try:
+        loss_and_grads(model, xb, yb, rng=data, workspace=workspace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (T, B, 4H) float64 buffer: what the gate cache alone used to take
+    assert peak < T * B * 4 * H * 8
+
+
+def saturated_model():
+    """Every gate pre-activation near -1000, where exp(-z) overflows."""
+    model = random_model(2, 4, 3, seed=10)
+    model.params["b"][:] = -1000.0
+    return model
+
+
+def test_saturated_gates_give_exact_limits_without_warnings():
+    model = saturated_model()
+    p = model.params
+    window = np.random.default_rng(11).standard_normal((6, 2))
+    # i = f = o = 0 exactly, so the state stays zero and the head sees h = 0
+    want = model.denormalize((np.maximum(p["bd"], 0.0)[None] @ p["Wo"] + p["bo"])[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pred, cache = lstm_forward(model, window)
+        loss, grads = loss_and_grads(model, model.normalize(window)[None], np.zeros((1, 2)),
+                                     rng=np.random.default_rng(0))
+        rollout = predict_multistep(model, window, 4)
+    np.testing.assert_array_equal(cache["hs"], 0.0)
+    np.testing.assert_array_equal(pred, want)
+    np.testing.assert_array_equal(rollout, np.tile(want, (4, 1)))
+    assert math.isfinite(loss) and all(np.all(np.isfinite(g)) for g in grads.values())
+
+
 # ----------------------------------------------------------------------
 # training
 
@@ -231,6 +359,29 @@ def test_train_sinusoid_one_step():
     model, history = train(ts, small_cfg(window=50, epochs=60,
                                          hidden_dim=32, dense_dim=32, seed=1))
     assert history[-1] <= 0.05  # amplitude is 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.lists(st.integers(1, 7), min_size=1, max_size=2),
+       steps=st.integers(1, 6), lr=st.sampled_from([1e-4, 1e-3, 0.3]),
+       seed=st.integers(0, 2**32 - 1))
+@example(shape=[300, 300], steps=5, lr=1e-4, seed=0)
+def test_adam_step_equals_textbook_expression_bit_for_bit(shape, steps, lr, seed):
+    rng = np.random.default_rng(seed)
+    cfg = TrainConfig(learning_rate=lr)
+    params = {"w": rng.standard_normal(shape)}
+    want, m, v = params["w"].copy(), np.zeros(shape), np.zeros(shape)
+    adam = AdamState(params)
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    for t in range(1, steps + 1):
+        g = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 3)
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        want = want - lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+        adam.step(params, {"w": g.copy()}, cfg)
+        np.testing.assert_array_equal(params["w"], want)
+        np.testing.assert_array_equal(adam.m["w"], m)
+        np.testing.assert_array_equal(adam.v["w"], v)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
