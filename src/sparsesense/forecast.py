@@ -302,7 +302,8 @@ def _forward_batch(model: LstmModel, xb: np.ndarray, training: bool,
     hs[0] = 0.0
     Wh, zh = _gate_major(p["Wh"]), np.empty((4, B, H))
     for t in range(T):
-        z[t] += np.matmul(hs[t], Wh, out=zh)
+        if t:  # the state starts at zero: step 0 has no recurrent term
+            z[t] += np.matmul(hs[t], Wh, out=zh)
         _step(z[t], cs[t], cs[t + 1], tcs[t], hs[t + 1])
     hd, mask = hs[T], None
     if training and model.dropout_rate > 0.0:
@@ -361,8 +362,9 @@ def _backward_batch(model: LstmModel, cache: dict,
         # dz_g = dc * i * (1 - g^2)
         np.multiply(dc, i, out=tmp)
         np.multiply(tmp, np.subtract(1.0, np.multiply(g, g, out=tmp2), out=tmp2), out=dzg)
-        np.matmul(dzt, WhT, out=dh)
-        dc *= f
+        if t:  # nothing reads the gradients wrt the zero initial state
+            np.matmul(dzt, WhT, out=dh)
+            dc *= f
     rows = dz.reshape(T * B, 4 * H)
     # hs[0] is the zero state, so step 0 adds nothing to dWh
     grads["Wh"] = hs[1:T].reshape((T - 1) * B, H).T @ dz[1:].reshape((T - 1) * B, 4 * H)

@@ -147,16 +147,11 @@ def write_pgm(frame: np.ndarray, path) -> None:
     frame = np.asarray(frame, dtype=np.float64)
     if frame.ndim != 2:
         raise ValidationError("PGM frames must be 2-D")
-    lo = frame.min()
-    hi = frame.max()
-    if hi > lo:
-        scaled = np.round((frame - lo) / (hi - lo) * 255.0)
-    else:
-        scaled = np.zeros_like(frame)
-    pixels = scaled.astype(np.uint8)
+    lo, hi = frame.min(), frame.max()
+    scaled = np.round((frame - lo) / (hi - lo) * 255.0) if hi > lo else np.zeros_like(frame)
     with atomic_write(path) as fh:
         fh.write(f"P5\n{frame.shape[1]} {frame.shape[0]}\n255\n".encode())
-        fh.write(pixels.tobytes())
+        fh.write(scaled.astype(np.uint8).tobytes())
 
 
 def read_pgm(path) -> np.ndarray:

@@ -101,14 +101,10 @@ def reconstruct(y, basis: SensorBasis) -> np.ndarray:
     (returns (m, n)).
     """
     y = np.asarray(y, dtype=np.float64)
-    if y.ndim == 1:
-        if y.shape[0] != basis.s:
-            raise ValidationError(f"expected {basis.s} measurements, got {y.shape[0]}")
-    elif y.ndim == 2:
-        if y.shape[0] != basis.s:
-            raise ValidationError(f"expected {basis.s} measurement rows, got {y.shape[0]}")
-    else:
+    if y.ndim not in (1, 2):
         raise ValidationError("measurements must be a vector or matrix")
+    if y.shape[0] != basis.s:
+        raise ValidationError(f"expected {basis.s} measurement rows, got {y.shape[0]}")
     if not np.all(np.isfinite(y)):
         raise ValidationError("measurements contain non-finite entries")
     return basis.modes @ (basis.theta_pinv @ y)

@@ -110,7 +110,8 @@ def cmd_clean(cfg: RunConfig, out: Path) -> dict:
                         result.dual_history))])
     metrics = {"iterations": result.iterations,
                "converged": result.converged,
-               "final_residual": result.residual_history[-1]}
+               "final_residual": result.residual_history[-1],
+               "svt_sweeps": result.svt_sweeps, "svt_full_svds": result.svt_full_svds}
     return _write_report(out, "clean", (time.perf_counter() - t0) * 1e3, metrics,
                          [CLEAN_L_FILE, CLEAN_S_FILE, RESIDUALS_FILE])
 
@@ -228,14 +229,8 @@ def cmd_evaluate(cfg: RunConfig, out: Path) -> dict:
                          metrics, artifacts)
 
 
-STAGE_FUNCS = {
-    "synth": cmd_synth,
-    "clean": cmd_clean,
-    "compress": cmd_compress,
-    "train": cmd_train,
-    "predict": cmd_predict,
-    "evaluate": cmd_evaluate,
-}
+STAGE_FUNCS = dict(zip(_STAGES, (cmd_synth, cmd_clean, cmd_compress, cmd_train,
+                                  cmd_predict, cmd_evaluate), strict=True))
 
 
 def run_all(cfg: RunConfig, out: Path) -> dict[str, dict]:

@@ -152,6 +152,13 @@ def test_soft_threshold_lipschitz_and_odd(x, y, tau):
     assert soft_threshold(-x, tau) == pytest.approx(-soft_threshold(x, tau))
 
 
+def test_soft_threshold_into_a_buffer_matches_the_fresh_result():
+    x = np.random.default_rng(3).standard_normal((7, 5))
+    out = np.full_like(x, np.nan)
+    assert soft_threshold(x, 0.4, out=out) is out
+    np.testing.assert_array_equal(out, soft_threshold(x, 0.4))
+
+
 def test_soft_threshold_rejects_negative_tau():
     with pytest.raises(ValidationError):
         soft_threshold(1.0, -0.5)
@@ -262,6 +269,8 @@ def test_topk_svt_doubles_the_block_past_the_guess(monkeypatch):
     calls = count_full_svds(monkeypatch, A)
     got = singular_value_threshold(A, 2.0)
     assert TOPK_MARGIN < 30 and calls == []
+    # blocks of 5, 10, 20 and 40 columns: one sweep each
+    assert got.sweeps >= 4 and not got.full_svd
     assert got.singular_values.size == 30
     np.testing.assert_allclose(got.singular_values, s[:30] - 2.0, rtol=1e-12)
     assert np.linalg.norm(got.reconstruct() - svt_by_full_svd(A, 2.0)) <= 1e-9 * s[0]
@@ -273,6 +282,7 @@ def test_topk_svt_is_exact_once_the_block_reaches_min_dim(monkeypatch):
     calls = count_full_svds(monkeypatch, A)
     got = singular_value_threshold(A, 0.0)
     assert calls == [(40, 12)] and got.singular_values.size == 12
+    assert got.full_svd
     np.testing.assert_allclose(got.reconstruct(), A, atol=1e-12)
 
 
@@ -293,6 +303,27 @@ def test_topk_warm_start_reuses_the_kept_block():
     warm = singular_value_threshold(A, 1.0, cold)
     assert warm.singular_values.size == cold.singular_values.size
     np.testing.assert_allclose(warm.reconstruct(), cold.reconstruct(), atol=1e-9 * 100.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(10, 90), n=st.integers(10, 90), k=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1), log_rtol=st.floats(-10.0, -1.0),
+       loosen=st.floats(1.0, 1e6), threshold=st.booleans())
+def test_topk_meets_its_rtol_and_a_looser_one_sweeps_no_more(m, n, k, seed, log_rtol,
+                                                             loosen, threshold):
+    rng = np.random.default_rng(seed)
+    A = matrix_with_spectrum(m, n, SPECTRA["spread"](rng, min(m, n)), seed)
+    rtol = 10.0 ** log_rtol
+    # with a threshold, the values above the k-th of A, found from a cold start
+    tau = float(np.linalg.svd(A, compute_uv=False)[k]) if threshold else None
+    f = svd_topk(A, 0 if threshold else k, tau, rtol=rtol)
+    s1 = np.linalg.norm(A, 2)
+    resid = np.linalg.norm(A @ f.V - f.U * f.singular_values, axis=0)
+    # plus the roundoff of recomputing A V outside the kernel
+    assert np.linalg.norm(resid) <= rtol * f.singular_values[:1].sum() + 1e-13 * s1
+    loose = svd_topk(A, 0 if threshold else k, tau, rtol=min(rtol * loosen, 0.5))
+    assert loose.sweeps <= f.sweeps
+    assert loose.full_svd <= f.full_svd
 
 
 def test_topk_spectral_norm_and_determinism():

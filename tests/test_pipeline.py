@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sparsesense import cli, forecast, matio, osp, pipeline
+from sparsesense import cli, decompose, forecast, matio, osp, pipeline
 from sparsesense.config import RunConfig, parse_config
 from sparsesense.synth import GroundTruthSpec
 
@@ -77,7 +77,7 @@ def test_run_all_produces_every_artifact(workspace):
 
 
 def test_clean_residuals_trace_each_iteration(workspace):
-    _, _, out, reports = workspace
+    _, cfg, out, reports = workspace
     lines = (out / pipeline.RESIDUALS_FILE).read_text().splitlines()
     assert lines[0] == "iteration,residual,mu,kept,dual_residual"
     rows = [line.split(",") for line in lines[1:]]
@@ -87,6 +87,12 @@ def test_clean_residuals_trace_each_iteration(workspace):
     mus = [float(r[2]) for r in rows]
     assert all(b in (a, 1.5 * a) for a, b in zip(mus, mus[1:]))
     assert int(rows[-1][3]) == 2  # the rank of the synthetic truth
+    # the inner-solve cost, as the solver counted it
+    again = decompose.rpca(matio.read_matrix(out / pipeline.PERTURBED_FILE), cfg.rpca)
+    metrics = reports["clean"]["metrics"]
+    assert (metrics["svt_sweeps"], metrics["svt_full_svds"]) == (again.svt_sweeps,
+                                                                again.svt_full_svds)
+    assert again.svt_sweeps + again.svt_full_svds >= again.iterations
     assert "clean_S.rbdm" in reports["clean"]["manifest"]
     assert pipeline.RESIDUALS_FILE in reports["clean"]["manifest"]
 
