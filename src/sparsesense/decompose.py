@@ -118,12 +118,16 @@ def rpca(X, cfg: RpcaConfig | None = None) -> RpcaResult:
     cfg = cfg or RpcaConfig()
     cfg.validate()
     m, n = X.shape
-    norm_x = np.linalg.norm(X)
+    with np.errstate(over="ignore"):  # an overflowing norm is rejected below
+        norm_x = np.linalg.norm(X)
     if norm_x == 0:
         z = np.zeros_like(X)
         return RpcaResult(L=z, S=z.copy(), iterations=1, residual_history=[0.0],
                           converged=True, dual_history=[0.0], mu_history=[0.0],
                           kept_history=[0])
+    if not np.isfinite(norm_x):
+        raise ValidationError(f"the {m} x {n} matrix has finite entries but an infinite "
+                              "Frobenius norm; rescale it")
 
     lam = cfg.lam if cfg.lam is not None else 1.0 / np.sqrt(max(m, n))
     norm2 = float(svd_topk(X, 1, check_finite=False).singular_values[0])

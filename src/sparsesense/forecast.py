@@ -7,15 +7,19 @@ linear interpolation for irregularly sampled series and windowed dataset
 construction.
 
 A training batch runs on one time-major `Workspace` that `train`
-allocates once per call, sized for its largest batch: inputs (T, B, s),
-gates (T, 4, B, H), cell and hidden states (T + 1, B, H), tanh(c)
-(T, B, H) and gate gradients (T, B, 4H).  The input projection is one
+allocates once per call, sized for its largest batch, with five buffers:
+inputs (T, B, s), gates (T, 4, B, H), cell and hidden states
+(T + 1, B, H) and tanh(c) (T, B, H).  The input projection is one
 batched product before the time loop; the gates are activated in place,
 gate-major, so the elementwise work of a step runs on contiguous (B, H)
-blocks; and after BPTT the weight gradients dWh, dWx and db are each
-one GEMM or one reduction over all T * B rows, not T rank-B updates
-(Appleyard, Kočiský & Blunsom, arXiv:1604.01946).  A batch allocates no
-buffer that grows with T.
+blocks.  The backward pass spends the forward cache: once BPTT has read
+the gates of step t for the last time, it stores that step's (B, 4H)
+gate gradients dz[t] in their place, so the gate buffer ends up holding
+dz and the weight gradients dWh, dWx and db are each one GEMM or one
+reduction over all T * B rows, not T rank-B updates (Appleyard, Kočiský
+& Blunsom, arXiv:1604.01946), with no separate (T, B, 4H) buffer
+(in the spirit of Gruslys et al., arXiv:1606.03401, but with no
+recomputation).  A batch allocates no buffer that grows with T.
 
 The rollout runs each sliding window from the zero state, as training
 does, but not one window at a time: the first window is a plain forward
@@ -145,7 +149,12 @@ def interpolate_uniform(ts: TimeSeries, dt: float) -> TimeSeries:
         np.add.at(acc, inverse, v)
         v = acc / counts[:, None]
         t = uniq
-    n_out = int(np.floor((t[-1] - t[0]) / dt)) + 1
+    span = float(t[-1] - t[0])
+    # a grid no array can address is a bad dt, not the host running out of memory
+    if (span / dt + 1) * 8 * max(v.shape[1], 1) > np.iinfo(np.intp).max:
+        raise ValidationError(f"dt = {dt!r} is too small for the span {span!r}: "
+                              "the grid would not fit in an array")
+    n_out = int(np.floor(span / dt)) + 1
     grid = t[0] + dt * np.arange(n_out)
     out = np.empty((n_out, v.shape[1]))
     for ch in range(v.shape[1]):
@@ -155,13 +164,15 @@ def interpolate_uniform(ts: TimeSeries, dt: float) -> TimeSeries:
 
 def make_windows(values: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
     """Supervised one-step pairs from a (n, s) series: inputs[i] holds
-    rows [i, i+window) and targets[i] is row i+window."""
+    rows [i, i+window) and targets[i] is row i+window.  Both are views of
+    the series, not copies."""
     values = np.asarray(values, dtype=np.float64)
     n = values.shape[0]
     if n < window + 1:
         raise ValidationError(f"series of length {n} too short for window {window}")
-    idx = np.arange(window)[None, :] + np.arange(n - window)[:, None]
-    return values[idx], values[window:]
+    # a read-only strided view: indexing a batch out of it copies the rows
+    windows = np.lib.stride_tricks.sliding_window_view(values, window, axis=0)
+    return np.moveaxis(windows, -1, 1)[:n - window], values[window:]
 
 
 # ----------------------------------------------------------------------
@@ -218,10 +229,12 @@ class Workspace:
         cs    (T + 1, B, H)  cell states, row 0 the zero initial state
         hs    (T + 1, B, H)  hidden states, likewise
         tcs   (T, B, H)      tanh of cs[1:]
-        dz    (T, B, 4H)     gate gradients
 
     z is gate-major, so each gate of a step is one contiguous (B, H)
-    block and the elementwise work runs on contiguous arrays.  A batch
+    block and the elementwise work runs on contiguous arrays.  During
+    BPTT, z[t] is overwritten by the (B, 4H) gate gradients dz[t] once
+    the gates of step t are spent, so z.reshape(T, B, 4H) ends up as dz
+    and the backward pass needs no buffer of its own.  A batch
     of B windows takes contiguous views of each buffer's leading part,
     so one workspace serves every batch of a training run, the shorter
     last one included."""
@@ -232,11 +245,10 @@ class Workspace:
 
     def _shapes(self, B: int) -> tuple[tuple[int, ...], ...]:
         T, s, H = self.dims
-        return ((T, B, s), (T, 4, B, H), (T + 1, B, H), (T + 1, B, H), (T, B, H),
-                (T, B, 4 * H))
+        return (T, B, s), (T, 4, B, H), (T + 1, B, H), (T + 1, B, H), (T, B, H)
 
     def views(self, B: int, T: int, s: int, H: int) -> list[np.ndarray]:
-        """x, z, cs, hs, tcs, dz for a batch of B windows."""
+        """x, z, cs, hs, tcs for a batch of B windows."""
         if not 1 <= B <= self.batch or (T, s, H) != self.dims:
             raise ValidationError(f"a batch of {B} windows with (T, s, H) = {(T, s, H)} does "
                                   f"not fit a workspace for up to {self.batch} windows "
@@ -294,7 +306,7 @@ def _forward_batch(model: LstmModel, xb: np.ndarray, training: bool,
     p = model.params
     if workspace is None:
         workspace = Workspace(B, T, s, H)
-    x, z, cs, hs, tcs, dz = workspace.views(B, T, s, H)
+    x, z, cs, hs, tcs = workspace.views(B, T, s, H)
     x[...] = xb.transpose(1, 0, 2)
     np.matmul(x[:, None], _gate_major(p["Wx"]), out=z)
     z += p["b"].reshape(4, 1, H)
@@ -313,19 +325,21 @@ def _forward_batch(model: LstmModel, xb: np.ndarray, training: bool,
         mask = (rng.random((B, H)) < keep) / keep
         hd = hd * mask
     pre_dense, dense, out = _head(p, hd)
-    cache = {"x": x, "gates": z, "cs": cs, "hs": hs, "tcs": tcs, "dz": dz,
-             "mask": mask, "hd": hd, "pre_dense": pre_dense, "dense": dense}
+    cache = {"x": x, "gates": z, "cs": cs, "hs": hs, "tcs": tcs, "mask": mask,
+             "hd": hd, "pre_dense": pre_dense, "dense": dense}
     return out, cache
 
 
 def _backward_batch(model: LstmModel, cache: dict,
                     dout: np.ndarray) -> dict[str, np.ndarray]:
     """Gradients of the loss wrt every parameter, given dL/d(output).
-    BPTT writes the gate gradients of every step into the workspace; the
+    This spends the forward cache: BPTT forms the gate gradients of step
+    t in one (B, 4H) scratch block, which feeds the dh product, and then
+    copies them over the gates z[t], which nothing reads again.  The
     weight gradients of the recurrent layer are then one GEMM or one
-    reduction each over all T * B rows."""
+    reduction each over all T * B rows of z, read as dz (T, B, 4H)."""
     p = model.params
-    x, z, cs, hs, tcs, dz = (cache[k] for k in ("x", "gates", "cs", "hs", "tcs", "dz"))
+    x, z, cs, hs, tcs = (cache[k] for k in ("x", "gates", "cs", "hs", "tcs"))
     T, B, s = x.shape
     H = model.hidden_dim
     grads = {"bo": dout.sum(axis=0), "Wo": cache["dense"].T @ dout}
@@ -337,12 +351,12 @@ def _backward_batch(model: LstmModel, cache: dict,
     if cache["mask"] is not None:
         dh *= cache["mask"]
     dc = np.zeros((B, H))
-    tmp, tmp2 = np.empty((B, H)), np.empty((B, H))
+    tmp, tmp2, dzt = np.empty((B, H)), np.empty((B, H)), np.empty((B, 4 * H))
+    dzi, dzf, dzg, dzo = dzt[:, :H], dzt[:, H:2 * H], dzt[:, 2 * H:3 * H], dzt[:, 3 * H:]
     WhT = p["Wh"].T
     for t in range(T - 1, -1, -1):
         i, f, g, o = z[t]
-        tc, dzt = tcs[t], dz[t]
-        dzi, dzf, dzg, dzo = dzt[:, :H], dzt[:, H:2 * H], dzt[:, 2 * H:3 * H], dzt[:, 3 * H:]
+        tc = tcs[t]
         # dz_o = dh * tc * o * (1 - o)
         np.multiply(dh, tc, out=tmp)
         tmp *= o
@@ -365,6 +379,9 @@ def _backward_batch(model: LstmModel, cache: dict,
         if t:  # nothing reads the gradients wrt the zero initial state
             np.matmul(dzt, WhT, out=dh)
             dc *= f
+        z[t].reshape(B, 4 * H)[...] = dzt  # the gates of step t are spent
+    del dh, dc, tmp, tmp2, dzt, dzi, dzf, dzg, dzo  # free BPTT's scratch before dWh
+    dz = z.reshape(T, B, 4 * H)
     rows = dz.reshape(T * B, 4 * H)
     # hs[0] is the zero state, so step 0 adds nothing to dWh
     grads["Wh"] = hs[1:T].reshape((T - 1) * B, H).T @ dz[1:].reshape((T - 1) * B, 4 * H)

@@ -120,6 +120,14 @@ def test_every_entry_point_of_the_clean_rejects_a_non_finite_matrix(bad):
         singular_value_threshold(A, 0.5, rtol=1e-3)
 
 
+def test_rpca_rejects_finite_entries_whose_norm_overflows():
+    rng = np.random.default_rng(3)
+    X = 1e308 * np.tanh(rng.standard_normal((40, 2)) @ rng.standard_normal((2, 120)))
+    assert np.all(np.isfinite(X))
+    with pytest.raises(ValidationError, match="norm"):
+        rpca(X)
+
+
 def test_rpca_rejects_bad_inputs():
     with pytest.raises(ValidationError):
         rpca(np.array([[1.0, np.inf], [0.0, 1.0]]))

@@ -85,6 +85,13 @@ def test_interpolate_degenerate_input():
                                        np.zeros((2, 1))), 0.5)
 
 
+@pytest.mark.parametrize("dt", [1e-17, 1e-300, 5e-324])
+def test_interpolate_rejects_a_grid_no_array_can_hold(dt):
+    ts = TimeSeries(np.array([0.0, 40.0, 100.0]), np.zeros((3, 2)))
+    with pytest.raises(ValidationError, match="dt"):
+        interpolate_uniform(ts, dt)
+
+
 # ----------------------------------------------------------------------
 # windowing
 
@@ -102,6 +109,15 @@ def test_make_windows_ramp_target():
     inputs, targets = make_windows(values, 50)
     np.testing.assert_array_equal(inputs[3, :, 0], np.arange(3.0, 53.0))
     np.testing.assert_array_equal(targets[:, 0], np.arange(50.0, 200.0))
+
+
+def test_make_windows_are_views_and_a_batch_is_a_copy():
+    values = np.arange(60.0).reshape(20, 3)
+    inputs, targets = make_windows(values, 5)
+    assert np.shares_memory(inputs, values) and np.shares_memory(targets, values)
+    batch = inputs[np.array([4, 0, 9])]
+    assert batch.flags.c_contiguous and not np.shares_memory(batch, values)
+    np.testing.assert_array_equal(batch[0], values[4:9])
 
 
 def test_make_windows_too_short():
@@ -260,8 +276,15 @@ def test_workspace_reuse_matches_fresh_and_per_step_reference(B, extra, T, s, H,
     model.dropout_rate = dropout
     data = np.random.default_rng(seed + 1)
     workspace = Workspace(B + extra, T, s, H)
-    loss_and_grads(model, 1e3 * data.standard_normal((B + extra, T, s)),
-                   data.standard_normal((B + extra, s)), rng=data, workspace=workspace)
+    x_big = 1e3 * data.standard_normal((B + extra, T, s))
+    _, big = loss_and_grads(model, x_big, data.standard_normal((B + extra, s)), rng=data,
+                            workspace=workspace)
+    # BPTT left the larger batch's gate gradients in the gate buffer
+    x, z = workspace.views(B + extra, T, s, H)[:2]
+    dz_big = z.reshape(T * (B + extra), 4 * H)
+    np.testing.assert_array_equal(x, x_big.transpose(1, 0, 2))
+    np.testing.assert_array_equal(dz_big.sum(axis=0), big["b"])
+    np.testing.assert_array_equal(x.reshape(-1, s).T @ dz_big, big["Wx"])
     xb, yb = data.standard_normal((B, T, s)), data.standard_normal((B, s))
     reused = loss_and_grads(model, xb, yb, rng=np.random.default_rng(seed), workspace=workspace)
     fresh = loss_and_grads(model, xb, yb, rng=np.random.default_rng(seed))
@@ -294,8 +317,26 @@ def test_training_batch_allocates_no_step_sized_buffer():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one (T, B, 4H) float64 buffer: what the gate cache alone used to take
+    # one (T, B, 4H) float64 buffer: what the gate-gradient buffer alone used
+    # to take, before BPTT wrote dz over the spent gates
     assert peak < T * B * 4 * H * 8
+
+
+def test_training_batch_working_set_is_the_five_workspace_buffers():
+    B, T, s, H = 32, 50, 16, 128
+    model = random_model(s, H, H, seed=8)
+    data = np.random.default_rng(9)
+    xb, yb = data.standard_normal((B, T, s)), data.standard_normal((B, s))
+    tracemalloc.start()
+    try:
+        loss_and_grads(model, xb, yb, rng=data, workspace=Workspace(B, T, s, H))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # inputs, gates (which BPTT reuses for dz), cell and hidden states and
+    # tanh(c), plus 1 MB for the returned gradients and per-batch scratch
+    buffers = 8 * (T * B * s + T * 4 * B * H + 2 * (T + 1) * B * H + T * B * H)
+    assert peak < buffers + 10**6, (peak, buffers)
 
 
 def saturated_model():

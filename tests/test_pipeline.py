@@ -408,6 +408,23 @@ def test_cli_oversized_allocation_exit_2(workspace, tmp_path, capsys, stage, ext
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("extra, names", [
+    # a grid over the training span longer than any array can address
+    ("train.interpolate = true\ntrain.dt = 1e-17\n", "dt"),
+    ("train.interpolate = true\ntrain.dt = 1e-300\n", "dt"),
+    # finite frames whose Frobenius norm overflows reach the clean stage
+    ("synth.amplitude = 1e308\n", "norm"),
+])
+def test_cli_input_out_of_float_range_exit_2(tmp_path, capsys, extra, names):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CFG.replace("synth.m = 60", "synth.m = 40")
+                   .replace("synth.n = 80", "synth.n = 120") + extra)
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+    assert names in err
+
+
 def test_cli_predict_model_output_width_mismatch_exit_2(workspace, tmp_path, capsys):
     cfg_path, _, out = mutable_copy(workspace, tmp_path)
     model = forecast.load_model(out / pipeline.MODEL_FILE)
