@@ -19,6 +19,7 @@ an absent key keeps the default of the field it sets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 from .decompose import RpcaConfig
@@ -70,6 +71,12 @@ class RunConfig:
         if not (self.dt > 0 and self.train_dt > 0 and 0.0 <= self.time_jitter < 1.0):
             raise ValidationError(
                 "need synth.dt > 0, train.dt > 0 and synth.time_jitter in [0, 1)")
+        # n gaps of at most dt (1 + time_jitter) bound the last timestamp,
+        # the running sum's rounding included
+        if not math.isfinite(self.dt * (1.0 + self.time_jitter) * gt.n):
+            raise ValidationError(f"synth.dt = {self.dt} with synth.time_jitter = "
+                                  f"{self.time_jitter} overflows the timestamps of "
+                                  f"synth.n = {gt.n} frames")
         if self.holdout < 1:
             raise ValidationError("train.holdout must be at least 1")
         if self.frame_width < 1 or self.frame_height is not None and self.frame_height < 1:

@@ -10,9 +10,13 @@ One generator can also hold many independent streams as lanes, such as
 one per time frame (`substream` with an array of indices).  The lanes step
 together in numpy uint64 arithmetic, and every derived draw is computed
 over a (k, lanes) block of raw outputs, so lane l yields exactly what the
-single stream with lane l's seed would.  Only the transcendentals of
-Box-Muller stay on `math`, element by element: numpy's vectorized log may
-differ from `math.log` in the last bit.
+single stream with lane l's seed would.  Box-Muller takes cos and sin of
+its angles from numpy, which links them from the same libm as `math`
+(numpy 2.4.6 on AVX-512 matched it bit for bit on over 2 * 10**6 angles
+2 pi k 2**-53; a test pins this).  Only log stays on `math`, element by
+element: numpy's SIMD log differs from `math.log` in the last bit on
+about 3,500 of 10**6 draws, and `logl` rounded to double on about 900,
+so either would change every noisy synth artifact.
 """
 
 from __future__ import annotations
@@ -27,6 +31,10 @@ _TWO_M53 = 2.0 ** -53
 
 #: raw draws per Box-Muller chunk, which bounds the temporaries
 _CHUNK = 8192
+
+#: the largest |z| that `normals` draws at std 1: the Box-Muller radius
+#: sqrt(-2 log u) at the smallest (0, 1] uniform, 2**-53
+NORMAL_BOUND = math.sqrt(-2.0 * math.log(_TWO_M53))
 
 
 def splitmix64_next(state):
@@ -51,11 +59,6 @@ def _unit(u):
 def _unit_open(u):
     """Raw draws to doubles in (0, 1], safe as a log argument."""
     return ((u >> 11) + 1) * _TWO_M53
-
-
-def _math(f, a: np.ndarray) -> np.ndarray:
-    """The `math` function f of every entry of a."""
-    return np.fromiter(map(f, a.ravel().tolist()), np.float64, a.size).reshape(a.shape)
 
 
 def _xoshiro_rows(s: list[np.ndarray], out: np.ndarray) -> None:
@@ -182,17 +185,23 @@ class Xoshiro256pp:
         """n Gaussian draws per lane via Box-Muller, a (n,) + lanes block;
         both outputs of each pair are consumed in order, the trailing one
         discarded when n is odd.  Pairs are drawn in chunks of about
-        _CHUNK raw draws, so the temporaries stay small."""
+        _CHUNK raw draws, so the temporaries stay small.  cos and sin of
+        a chunk's angles are one numpy call each; the log of its radii
+        is `math.log` per element, the one transcendental whose numpy
+        form changes bytes (see the module docstring)."""
         out = np.empty((n,) + self._lanes)
         pairs = -(-n // 2)
         step = max(1, _CHUNK // (2 * math.prod(self._lanes)))
         for p in range(0, pairs, step):
             u = self.next_u64s(2 * min(step, pairs - p))
-            radius = np.sqrt(-2.0 * _math(math.log, _unit_open(u[0::2])))
+            v = _unit_open(u[0::2])
+            log_v = np.fromiter(map(math.log, v.ravel().tolist()), np.float64, v.size)
+            radius = np.sqrt(-2.0 * log_v).reshape(v.shape)
             theta = 2.0 * math.pi * _unit(u[1::2])
             rows = (out[2 * p:2 * p + len(u):2], out[2 * p + 1:2 * p + len(u):2])
-            for f, z in zip((math.cos, math.sin), rows):
-                z[...] = radius[:len(z)] * _math(f, theta[:len(z)])
+            for f, z in zip((np.cos, np.sin), rows):
+                f(theta[:len(z)], out=z)
+                z *= radius[:len(z)]
                 if mean != 0.0 or std != 1.0:
                     z[...] = mean + std * z
         return out

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import BoundsError, ValidationError
 from .linalg import validate_matrix
-from .rng import Xoshiro256pp, substream
+from .rng import NORMAL_BOUND, Xoshiro256pp, substream
 
 
 class Scenario(enum.IntEnum):
@@ -67,15 +67,19 @@ class ScenarioSpec:
         if not 0.0 <= self.corruption_fraction <= 1.0:
             raise ValidationError("corruption_fraction must lie in [0, 1]")
         for lo, hi in (*self.outlier_ranges, self.corruption_interval):
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-                raise ValidationError(f"interval ({lo}, {hi}) needs finite ends with lo <= hi")
+            # a finite width also makes both ends finite; lo + width * u
+            # then stays finite for every u in [0, 1)
+            if not (lo <= hi and math.isfinite(hi - lo)):
+                raise ValidationError(f"interval ({lo}, {hi}) needs lo <= hi and a finite "
+                                      f"width hi - lo")
         if self.n_outliers < 0:
             raise ValidationError("n_outliers must be nonnegative")
         limit = m if self.per_frame else m * n
         if self.scenario in (Scenario.OUTLIERS, Scenario.SUPERPOSITION) and self.n_outliers > limit:
             raise ValidationError(f"n_outliers {self.n_outliers} exceeds {limit} available entries")
-        if not self.noise_std >= 0:
-            raise ValidationError("noise_std must be nonnegative")
+        if not (self.noise_std >= 0 and math.isfinite(self.noise_std * NORMAL_BOUND)):
+            raise ValidationError(f"noise_std must be nonnegative, and finite times the "
+                                  f"largest normal draw {NORMAL_BOUND:.4f}")
 
 
 def generate_ground_truth(spec: GroundTruthSpec) -> np.ndarray:

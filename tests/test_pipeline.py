@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from sparsesense import cli, decompose, forecast, matio, osp, pipeline
 from sparsesense.config import RunConfig, parse_config
+from sparsesense.rng import NORMAL_BOUND
 from sparsesense.synth import GroundTruthSpec
 
 SMALL_CFG = """\
@@ -423,6 +425,46 @@ def test_cli_input_out_of_float_range_exit_2(tmp_path, capsys, extra, names):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
     assert names in err
+
+
+SYNTH_40_CFG = SMALL_CFG.replace("synth.m = 60", "synth.m = 40").replace(
+    "synth.n = 80", "synth.n = 120").replace("synth.scenario = 2", "synth.scenario = 4")
+
+
+@pytest.mark.parametrize("extra", [
+    "synth.noise_std = inf",
+    "synth.noise_std = 1e308",    # finite, but 1e308 times a draw above 1.8 is not
+    "synth.corruption_min = -1e308\nsynth.corruption_max = 1e308",
+    "synth.outlier_hi_min = -1e308\nsynth.outlier_hi_max = 1e308",
+    "synth.dt = inf",
+    "synth.dt = 1e308\nsynth.time_jitter = 0.5",
+])
+def test_cli_synth_overflowing_draws_exit_2_before_any_stage(tmp_path, capsys, extra):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SYNTH_40_CFG + extra + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["synth", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["run.cfg"]
+
+
+@pytest.mark.parametrize("extra", [
+    f"synth.noise_std = {0.999 * sys.float_info.max / NORMAL_BOUND!r}",
+    "synth.corruption_min = -8e307\nsynth.corruption_max = 8e307",
+    f"synth.dt = {0.999 * sys.float_info.max / (1.5 * 120)!r}\nsynth.time_jitter = 0.5",
+])
+def test_cli_synth_draws_just_inside_float_range_are_finite(tmp_path, extra):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SYNTH_40_CFG + extra + "\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["synth", "--config", str(cfg), "--out", str(out)]) == 0
+    assert np.isfinite(matio.read_matrix(out / pipeline.PERTURBED_FILE)).all()
+    assert np.isfinite(matio.read_matrix_csv(out / pipeline.TIMESTAMPS_FILE)).all()
 
 
 def test_cli_predict_model_output_width_mismatch_exit_2(workspace, tmp_path, capsys):

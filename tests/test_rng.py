@@ -64,6 +64,27 @@ def test_normals_scaling_and_odd_count():
     np.testing.assert_allclose(z, 2.0 + 0.5 * z2)
 
 
+def test_numpy_cos_sin_equal_math_on_box_muller_angles():
+    # `normals` takes cos and sin of its angles from numpy, which this
+    # build links to the same libm as `math`; the synth bytes rest on that.
+    # Angles 2 pi k 2**-53 as `normals` forms them: k = 0..999, the last
+    # 1,000 k, and 2**20 k spread evenly over [0, 2**53)
+    k = np.concatenate([np.arange(1000, dtype=np.uint64),
+                        np.arange(2**53 - 1000, 2**53, dtype=np.uint64),
+                        np.arange(2**20, dtype=np.uint64) * np.uint64(2**33) + np.uint64(4321)])
+    theta = 2.0 * math.pi * (k * 2.0 ** -53)
+    strided = np.empty((theta.size, 2))
+    for f, ref in ((np.cos, math.cos), (np.sin, math.sin)):
+        want = np.array([ref(x) for x in theta.tolist()])
+        f(theta, out=strided[:, 0])
+        for got in (f(theta), strided[:, 0]):
+            differ = np.count_nonzero(got.view(np.uint64) != want.view(np.uint64))
+            assert differ == 0, (
+                f"np.{f.__name__} differs from math.{ref.__name__} on {differ} of "
+                f"{theta.size} Box-Muller angles: synth bytes would change on this "
+                f"numpy build")
+
+
 def test_sample_without_replacement_distinct():
     gen = Xoshiro256pp(9)
     sample = gen.sample_without_replacement(100, 40)
