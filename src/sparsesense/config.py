@@ -68,9 +68,9 @@ class RunConfig:
         if self.r > min(gt.m, gt.n) or self.s > gt.m:
             raise BoundsError(f"need osp.r <= min(synth.m, synth.n) and osp.s <= synth.m, "
                               f"got r={self.r}, s={self.s}, m={gt.m}, n={gt.n}")
-        if not (self.dt > 0 and self.train_dt > 0 and 0.0 <= self.time_jitter < 1.0):
+        if not (self.dt > 0 and 0 < self.train_dt < math.inf and 0.0 <= self.time_jitter < 1.0):
             raise ValidationError(
-                "need synth.dt > 0, train.dt > 0 and synth.time_jitter in [0, 1)")
+                "need synth.dt > 0, a finite train.dt > 0 and synth.time_jitter in [0, 1)")
         # n gaps of at most dt (1 + time_jitter) bound the last timestamp,
         # the running sum's rounding included
         if not math.isfinite(self.dt * (1.0 + self.time_jitter) * gt.n):

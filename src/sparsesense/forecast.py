@@ -137,8 +137,8 @@ def interpolate_uniform(ts: TimeSeries, dt: float) -> TimeSeries:
     """Resample onto the grid t0, t0+dt, ... up to the last timestamp,
     linearly interpolating each channel.  Duplicate timestamps are
     collapsed to their mean first."""
-    if dt <= 0:
-        raise ValidationError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise ValidationError("dt must be positive and finite")
     t = ts.timestamps
     v = ts.values
     uniq, inverse, counts = np.unique(t, return_inverse=True, return_counts=True)

@@ -10,13 +10,25 @@ One generator can also hold many independent streams as lanes, such as
 one per time frame (`substream` with an array of indices).  The lanes step
 together in numpy uint64 arithmetic, and every derived draw is computed
 over a (k, lanes) block of raw outputs, so lane l yields exactly what the
-single stream with lane l's seed would.  Box-Muller takes cos and sin of
-its angles from numpy, which links them from the same libm as `math`
-(numpy 2.4.6 on AVX-512 matched it bit for bit on over 2 * 10**6 angles
-2 pi k 2**-53; a test pins this).  Only log stays on `math`, element by
-element: numpy's SIMD log differs from `math.log` in the last bit on
-about 3,500 of 10**6 draws, and `logl` rounded to double on about 900,
-so either would change every noisy synth artifact.
+single stream with lane l's seed would.
+
+A long block on few lanes would step one narrow row at a time, so it
+jumps ahead instead.  The xoshiro256++ state transition is linear over
+GF(2) (Blackman and Vigna 2018), so the state d steps on from any state
+is an XOR of that state and the 255 after it, picked by the bits of x**d
+modulo the transition's characteristic polynomial.  The block's first
+256 rows are drawn as usual, recording those states; the rest splits
+into segments whose start states are formed that way, and all segments
+of all lanes step together at full numpy width.  The output bits are
+those of stepping one row at a time.
+
+Box-Muller takes cos and sin of its angles from numpy, which links them
+from the same libm as `math` (numpy 2.4.6 on AVX-512 matched it bit for
+bit on over 2 * 10**6 angles 2 pi k 2**-53; a test pins this).  Only log
+stays on `math`, element by element: numpy's SIMD log differs from
+`math.log` in the last bit on about 3,500 of 10**6 draws, and `logl`
+rounded to double on about 900, so either would change every noisy
+synth artifact.
 """
 
 from __future__ import annotations
@@ -31,6 +43,20 @@ _TWO_M53 = 2.0 ** -53
 
 #: raw draws per Box-Muller chunk, which bounds the temporaries
 _CHUNK = 8192
+
+#: the characteristic polynomial of the xoshiro256++ state transition over
+#: GF(2), bit i the coefficient of x**i; Berlekamp-Massey finds it from
+#: the low bit of any stream's s0 (a test re-derives it)
+_P = 0x10003C03C3F3ECB1904B4EDCF26259F850280002BCEFD1A5E9D116F2BB0F0F001
+_DEG = 256
+
+#: the lanes times segments that a jumped block draw steps together
+_WIDE = 2048
+
+#: the shortest block that jumps: the _DEG recorded rows, then as many
+#: again; a single stream, whose Python-int steps cost a seventh of a
+#: numpy row, needs twice that before the jump pays
+_JUMP_MIN = 2 * _DEG
 
 #: the largest |z| that `normals` draws at std 1: the Box-Muller radius
 #: sqrt(-2 log u) at the smallest (0, 1] uniform, 2**-53
@@ -61,12 +87,15 @@ def _unit_open(u):
     return ((u >> 11) + 1) * _TWO_M53
 
 
-def _xoshiro_rows(s: list[np.ndarray], out: np.ndarray) -> None:
-    """Fill out, a (k, lanes) uint64 block, with the next k outputs of
-    every lane, advancing the lane states s in place."""
+def _xoshiro_rows(s: np.ndarray, out: np.ndarray, record: np.ndarray | None = None) -> None:
+    """Fill out, a (k,) + lanes uint64 block, with the next k outputs of
+    every lane, advancing the lane states s, a (4,) + lanes array, in
+    place.  With a record, record[i] gets the states before row i."""
     s0, s1, s2, s3 = s
     t = np.empty_like(s0)
-    for row in out:
+    for i, row in enumerate(out):
+        if record is not None:
+            record[i] = s
         np.add(s0, s3, out=t)           # rotl(s0 + s3, 23) + s0
         np.left_shift(t, 23, out=row)
         t >>= 41
@@ -83,6 +112,48 @@ def _xoshiro_rows(s: list[np.ndarray], out: np.ndarray) -> None:
         s3 |= t
 
 
+def _jump_rows(record: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill the rows of out, a (k, lanes) uint64 block with k >= _JUMP_MIN,
+    that follow its first _DEG, which are drawn already; record, a
+    (_DEG, 4, lanes) array, holds the states before those first rows.
+    Returns the states after the last row.
+
+    The state transition T is linear over GF(2), so by Cayley-Hamilton
+    T**d is (x**d mod _P)(T): the state d rows on is the XOR of the
+    recorded states at the set bits of x**d mod _P.  The rows split into
+    J segments, each started that way, which then step side by side as
+    J * lanes lanes (Haramoto et al. 2008, jump ahead for F2-linear
+    generators)."""
+    k, lanes = out.shape
+    rest = k - _DEG
+    # J segments: at most _WIDE // lanes wide, sqrt(rest) balances the J
+    # start states to form against the rest / J rows to step, and J <= _DEG
+    # keeps base >= 0
+    seg = -(-rest // min(_WIDE // lanes, math.isqrt(rest), _DEG))
+    J = -(-rest // seg)
+    # the segments tile rows base..k-1; the few below _DEG are drawn again, alike
+    base = k - J * seg
+    starts = np.empty((4, J, lanes), dtype=np.uint64)
+    poly, d = 1, 0                      # x**d mod _P, by Galois shifts
+    for j in range(J):
+        for _ in range(base + j * seg - d):
+            poly <<= 1
+            if poly >> _DEG:
+                poly ^= _P
+        d = base + j * seg
+        bits = np.unpackbits(np.frombuffer(poly.to_bytes(_DEG // 8, "little"), np.uint8),
+                             bitorder="little").view(bool)
+        np.bitwise_xor.reduce(record[bits], axis=0, out=starts[:, j])
+    # rows step into a small contiguous buffer: strided output rows are slower
+    slab = out[base:].reshape(J, seg, lanes)
+    buf = np.empty((max(1, _CHUNK // (J * lanes)), J, lanes), dtype=np.uint64)
+    for t in range(0, seg, len(buf)):
+        rows = buf[:seg - t]
+        _xoshiro_rows(starts, rows)
+        slab[:, t:t + len(rows)] = rows.swapaxes(0, 1)
+    return starts[:, -1].copy()
+
+
 class Xoshiro256pp:
     """xoshiro256++ with splitmix64 seeding.
 
@@ -90,8 +161,12 @@ class Xoshiro256pp:
     arrays.  Seeded with a 1-D uint64 array, it holds one stream (lane)
     per entry and its block draws gain a trailing lane axis; lane l equals
     the stream seeded with seed[l], bit for bit.  Several lanes step as
-    numpy uint64 arithmetic at some 10 us per step for all of them; one
-    stream steps in Python ints at about 1 us, which is faster alone.
+    numpy uint64 arithmetic at some 7 us per row for all of them; one
+    stream steps in Python ints at about 1 us per draw.  A block of at
+    least _JUMP_MIN rows (twice that for one stream) on at most
+    _WIDE // 4 lanes records its first _DEG states and jumps ahead from
+    them, so that the rest of the block steps up to _WIDE lanes wide
+    (`_jump_rows`).
     """
 
     def __init__(self, seed):
@@ -101,12 +176,14 @@ class Xoshiro256pp:
         for _ in range(4):
             state, out = splitmix64_next(state)
             s.append(out)
-        if self._lanes == (1,):
-            s = [int(x[0]) for x in s]
-        self._s = s
+        # one stream's state is 4 ints, several lanes' a (4, lanes) array
+        self._s = [int(x[0]) for x in s] if self._lanes == (1,) else (
+            np.stack(s) if self._lanes else s)
 
     def next_u64(self):
         """The next raw output: an int, or a uint64 array of one per lane."""
+        if not isinstance(self._s, list):
+            return self.next_u64s(1)[0]
         s0, s1, s2, s3 = self._s
         result = (_rotl((s0 + s3) & _MASK64, 23) + s0) & _MASK64
         t = (s1 << 17) & _MASK64
@@ -121,12 +198,30 @@ class Xoshiro256pp:
 
     def next_u64s(self, k: int) -> np.ndarray:
         """The next k raw outputs of every lane, as a (k,) + lanes block."""
-        if isinstance(self._s[0], int):
-            out = np.array([self.next_u64() for _ in range(k)], dtype=np.uint64)
-        else:
-            out = np.empty((k, self._s[0].size), dtype=np.uint64)
-            _xoshiro_rows(self._s, out)
+        out = np.empty((k, math.prod(self._lanes)), dtype=np.uint64)
+        self._fill(out)
         return out.reshape((k,) + self._lanes)
+
+    def _fill(self, out: np.ndarray) -> None:
+        """Fill out, a (k, lanes) uint64 block (one lane for one stream),
+        with the next k raw outputs of every lane."""
+        k, lanes = out.shape
+        single = isinstance(self._s, list)
+        jump = k >= _JUMP_MIN * (2 if single else 1) and _WIDE // lanes >= 4
+        head = out[:_DEG] if jump else out
+        if single:
+            draws, states = [], []
+            for _ in range(len(head)):
+                states.append(self._s)
+                draws.append(self.next_u64())
+            head[:, 0] = draws
+            record = np.array(states, dtype=np.uint64)[:, :, None] if jump else None
+        else:
+            record = np.empty((_DEG, 4, lanes), dtype=np.uint64) if jump else None
+            _xoshiro_rows(self._s, head, record)
+        if jump:
+            end = _jump_rows(record, out)
+            self._s = [int(x) for x in end[:, 0]] if single else end
 
     # ------------------------------------------------------------------
     # derived draws
@@ -164,7 +259,7 @@ class Xoshiro256pp:
         if bound <= 0:
             raise ValueError("bound must be positive")
         limit = (1 << 64) - ((1 << 64) % bound)
-        if isinstance(self._s[0], int):
+        if isinstance(self._s, list):
             x = self.next_u64()
             while x >= limit:
                 x = self.next_u64()
@@ -172,39 +267,57 @@ class Xoshiro256pp:
         x = self.next_u64s(1)[0]
         retry = np.flatnonzero(x >= limit)
         while retry.size:
-            s = [a[retry] for a in self._s]
+            s = self._s[:, retry]
             redraw = np.empty((1, retry.size), dtype=np.uint64)
             _xoshiro_rows(s, redraw)
-            for a, b in zip(self._s, s):
-                a[retry] = b
+            self._s[:, retry] = s
             x[retry] = redraw[0]
             retry = retry[redraw[0] >= limit]
         return x % bound
 
+    def _below_each(self, bounds: np.ndarray) -> np.ndarray:
+        """What `below(bounds[i])` for i = 0, 1, ... draws, as a
+        (len(bounds),) + lanes uint64 block; bounds is a uint64 array.
+        The rows are one block draw; only when some draw falls in the
+        rejection zone of its bound does the generator rewind and draw
+        them one `below` at a time."""
+        snapshot = self._s.copy()
+        x = self.next_u64s(len(bounds))
+        bounds = bounds.reshape(bounds.shape + (1,) * len(self._lanes))
+        # 2**64 mod bound, the width of the zone at the top that below rejects
+        zone = (np.uint64(_MASK64) % bounds + np.uint64(1)) % bounds
+        if (x <= np.uint64(_MASK64) - zone).all():
+            return x % bounds
+        self._s = snapshot
+        return np.array([self.below(int(b)) for b in bounds.ravel()], dtype=np.uint64)
+
     def normals(self, n: int, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
         """n Gaussian draws per lane via Box-Muller, a (n,) + lanes block;
         both outputs of each pair are consumed in order, the trailing one
-        discarded when n is odd.  Pairs are drawn in chunks of about
-        _CHUNK raw draws, so the temporaries stay small.  cos and sin of
-        a chunk's angles are one numpy call each; the log of its radii
-        is `math.log` per element, the one transcendental whose numpy
-        form changes bytes (see the module docstring)."""
-        out = np.empty((n,) + self._lanes)
-        pairs = -(-n // 2)
-        step = max(1, _CHUNK // (2 * math.prod(self._lanes)))
-        for p in range(0, pairs, step):
-            u = self.next_u64s(2 * min(step, pairs - p))
+        discarded when n is odd.  The raw draws fill the output buffer's
+        uint64 view as one block, and each chunk of about _CHUNK of them
+        turns into its pairs' normals in place, so the temporaries stay
+        small.  cos and sin of a chunk's angles are one numpy call each;
+        the log of its radii is `math.log` per element, the one
+        transcendental whose numpy form changes bytes (see the module
+        docstring)."""
+        rows, lanes = 2 * -(-n // 2), math.prod(self._lanes)
+        out = np.empty((rows,) + self._lanes)
+        raw = out.view(np.uint64)
+        self._fill(raw.reshape(rows, lanes))
+        step = 2 * max(1, _CHUNK // (2 * lanes))
+        for p in range(0, rows, step):
+            u = raw[p:p + step]
             v = _unit_open(u[0::2])
             log_v = np.fromiter(map(math.log, v.ravel().tolist()), np.float64, v.size)
             radius = np.sqrt(-2.0 * log_v).reshape(v.shape)
             theta = 2.0 * math.pi * _unit(u[1::2])
-            rows = (out[2 * p:2 * p + len(u):2], out[2 * p + 1:2 * p + len(u):2])
-            for f, z in zip((np.cos, np.sin), rows):
-                f(theta[:len(z)], out=z)
-                z *= radius[:len(z)]
+            for f, z in ((np.cos, out[p:p + step:2]), (np.sin, out[p + 1:p + step:2])):
+                f(theta, out=z)
+                z *= radius
                 if mean != 0.0 or std != 1.0:
                     z[...] = mean + std * z
-        return out
+        return out[:n]
 
     def sample_without_replacement(self, population: int, k: int) -> np.ndarray:
         """k distinct integers from [0, population) per lane, a (k,) + lanes
@@ -215,8 +328,9 @@ class Xoshiro256pp:
         pool = np.empty((population,) + self._lanes, dtype=dtype)
         pool.T[...] = np.arange(population, dtype=dtype)
         cols = tuple(np.arange(n) for n in self._lanes)
-        for i in range(k):
-            a, b = (i, *cols), (i + self.below(population - i), *cols)
+        picks = self._below_each(np.arange(population, population - k, -1, dtype=np.uint64))
+        for i, x in enumerate(picks):
+            a, b = (i, *cols), (i + x, *cols)
             pool[a], pool[b] = pool[b], pool[a]
         return pool[:k].astype(np.int64)
 

@@ -50,6 +50,16 @@ class GroundTruthSpec:
             raise BoundsError(f"rank {self.rank} outside [1, {min(self.m, self.n)}]")
         if not self.smoothness > 0:
             raise ValidationError("smoothness must be positive")
+        # a bump is exp(-d**2 / (2 w**2)) at row distances d < m, for widths
+        # w = smoothness * m * [0.5, 1.5]: the narrowest must keep that
+        # quotient finite, and the widest 2 w**2 (else the bumps are flat)
+        narrow, wide = self.smoothness * self.m * 0.5, self.smoothness * self.m * 1.5
+        if not (2.0 * narrow * narrow > 0 and math.isfinite(self.m ** 2 / (2.0 * narrow * narrow))
+                and math.isfinite(2.0 * wide * wide)):
+            raise ValidationError(f"smoothness = {self.smoothness!r} takes the bump widths "
+                                  f"of m = {self.m} rows out of the float range")
+        if not math.isfinite(self.amplitude):
+            raise ValidationError("amplitude must be finite")
 
 
 @dataclass(frozen=True)
@@ -90,6 +100,7 @@ def generate_ground_truth(spec: GroundTruthSpec) -> np.ndarray:
     rows = np.arange(m, dtype=np.float64)
     t = np.arange(n, dtype=np.float64) / max(n, 2)
     X = np.zeros((m, n))
+    term = np.empty((m, n))              # one rank-1 term at a time
     for k in range(rank):
         center = rng.uniform(0.1 * m, 0.9 * m)
         width = spec.smoothness * m * (0.5 + rng.random())
@@ -100,7 +111,8 @@ def generate_ground_truth(spec: GroundTruthSpec) -> np.ndarray:
         drift = rng.uniform(-0.5, 0.5)
         amp = spec.amplitude / (1.0 + 0.5 * k)
         w = amp * (np.sin(2.0 * math.pi * freq * t + phase) + drift * t)
-        X += np.outer(u, w)
+        np.multiply(u[:, None], w, out=term)
+        X += term
     return X
 
 

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -438,6 +439,11 @@ SYNTH_40_CFG = SMALL_CFG.replace("synth.m = 60", "synth.m = 40").replace(
     "synth.outlier_hi_min = -1e308\nsynth.outlier_hi_max = 1e308",
     "synth.dt = inf",
     "synth.dt = 1e308\nsynth.time_jitter = 0.5",
+    "synth.smoothness = 1e-300",     # the bump width squared underflows to 0
+    "synth.smoothness = inf",        # flat bumps: a rank-1 truth
+    "synth.amplitude = inf",
+    "synth.amplitude = nan",
+    "train.interpolate = true\ntrain.dt = inf",
 ])
 def test_cli_synth_overflowing_draws_exit_2_before_any_stage(tmp_path, capsys, extra):
     cfg = tmp_path / "run.cfg"
@@ -455,6 +461,11 @@ def test_cli_synth_overflowing_draws_exit_2_before_any_stage(tmp_path, capsys, e
     f"synth.noise_std = {0.999 * sys.float_info.max / NORMAL_BOUND!r}",
     "synth.corruption_min = -8e307\nsynth.corruption_max = 8e307",
     f"synth.dt = {0.999 * sys.float_info.max / (1.5 * 120)!r}\nsynth.time_jitter = 0.5",
+    # the narrowest and the widest bumps whose 2 w**2 and d**2 / (2 w**2)
+    # stay in range at m = 40: w = smoothness * m * [0.5, 1.5]
+    f"synth.smoothness = {1.001 * math.sqrt(2.0 / sys.float_info.max)!r}",
+    f"synth.smoothness = {0.999 * math.sqrt(sys.float_info.max / 2.0) / (1.5 * 40)!r}",
+    "synth.amplitude = 1e300",
 ])
 def test_cli_synth_draws_just_inside_float_range_are_finite(tmp_path, extra):
     cfg = tmp_path / "run.cfg"

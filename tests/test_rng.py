@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -225,3 +226,98 @@ def test_lane_coin_uniforms_match_one_stream(seed, index, k):
         return pairs + [-15.0 + 45.0 * o.random() for _ in range(k)]
 
     assert_lanes_match(block, [draws(Oracle(seed, j)) for j in index])
+
+
+# ----------------------------------------------------------------------
+# jumped block draws: long blocks on narrow lanes jump ahead by _P
+
+
+def berlekamp_massey(bits):
+    """The shortest LFSR connection polynomial of a GF(2) sequence, as an
+    int with bit i the coefficient of x**i, and its degree."""
+    c, b, degree, shift = 1, 1, 0, 1
+    for n, bit in enumerate(bits):
+        discrepancy = bit
+        for i in range(1, degree + 1):
+            discrepancy ^= (c >> i) & bits[n - i]
+        if not discrepancy:
+            shift += 1
+        elif 2 * degree <= n:
+            c, b, degree, shift = c ^ (b << shift), c, n + 1 - degree, 1
+        else:
+            c ^= b << shift
+            shift += 1
+    return c, degree
+
+
+def test_characteristic_polynomial_rederived_by_berlekamp_massey():
+    oracle = Oracle(2024, 7)
+    bits = []
+    for _ in range(4 * rng._DEG):
+        bits.append(oracle.s[0] & 1)
+        oracle.next()
+    c, degree = berlekamp_massey(bits)
+    assert degree == rng._DEG
+    # the characteristic polynomial is the connection polynomial reversed
+    assert int(f"{c:0{degree + 1}b}"[::-1], 2) == rng._P
+
+
+jump_lanes = st.one_of(st.none(), st.integers(1, 12), st.integers(13, 600))
+# around the lane and the one-stream thresholds, and up to 3000 rows
+jump_rows = st.one_of(st.integers(rng._JUMP_MIN - 3, rng._JUMP_MIN + 3),
+                      st.integers(2 * rng._JUMP_MIN - 3, 2 * rng._JUMP_MIN + 3),
+                      st.integers(0, 3000))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, jump_lanes, jump_rows, st.data())
+def test_jumped_block_draws_match_one_stream(seed, n_lanes, k, data):
+    # every lane is drawn, a few are checked against the oracle, and the
+    # draws after the block check the state it leaves
+    index = data.draw(st.integers(0, 2**40))
+    gen = substream(seed, index if n_lanes is None else index + np.arange(n_lanes))
+    block = gen.next_u64s(k).reshape(k, n_lanes or 1)
+    after = gen.next_u64s(5).reshape(5, n_lanes or 1)
+    checked = data.draw(st.lists(st.integers(0, (n_lanes or 1) - 1), min_size=1, max_size=3))
+    for lane in checked:
+        oracle = Oracle(seed, index + lane)
+        assert block[:, lane].tolist() == [oracle.next() for _ in range(k)]
+        assert after[:, lane].tolist() == [oracle.next() for _ in range(5)]
+
+
+@settings(max_examples=15, deadline=None)
+@given(seeds, st.sampled_from([None, 1, 3, 100]), st.integers(1000, 1100), st.data())
+def test_jumped_normals_match_one_stream(seed, n_lanes, n, data):
+    index = data.draw(st.integers(0, 2**40))
+    gen = substream(seed, index if n_lanes is None else index + np.arange(n_lanes))
+    block = gen.normals(n, 0.0, 4.0).reshape(n, -1)
+    lane = data.draw(st.integers(0, (n_lanes or 1) - 1))
+    assert block[:, lane].tobytes() == Oracle(seed, index + lane).normals(n, 0.0, 4.0).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, lanes, st.lists(st.one_of(st.integers(1, 50), st.integers(2**63, 2**64 - 1)),
+                              max_size=6))
+def test_below_each_matches_below_one_at_a_time(seed, index, bounds):
+    # bounds >= 2**63 reject about half of all draws, which forces the
+    # generator to rewind and draw row by row
+    gen = substream(seed, np.array(index))
+    block = np.concatenate([gen._below_each(np.array(bounds, dtype=np.uint64)),
+                            gen.next_u64s(2)])
+    oracles = [Oracle(seed, j) for j in index]
+    assert_lanes_match(block, [[o.below(b) for b in bounds] + [o.next(), o.next()]
+                               for o in oracles])
+
+
+def test_normals_peak_memory_is_its_output_and_small_temporaries():
+    # a second (n, lanes) temporary would add as much again as the output
+    gen = substream(5, np.arange(100))
+    tracemalloc.start()
+    try:
+        z = gen.normals(2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    record = rng._DEG * 4 * 100 * 8     # the jump's recorded states
+    # the record, its gather for one start state and the chunk buffers
+    assert peak <= z.nbytes + 2 * record + 4 * rng._CHUNK * 8
