@@ -7,7 +7,6 @@ Example:
     synth.n = 1000
     synth.scenario = 2
     rpca.lambda = 0.006
-    rpca.mu = auto
     osp.r = 10
     osp.s = 10
     train.window = 50
@@ -22,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
-from .decompose import RpcaConfig
+from .decompose import MU_SCALE, RpcaConfig
 from .errors import BoundsError, ConstraintError, ValidationError
 from .forecast import TrainConfig
 from .synth import GroundTruthSpec, Scenario, ScenarioSpec
@@ -105,8 +104,15 @@ def _auto(raw: str) -> float | None:
     return None if raw == "auto" else float(raw)
 
 
+def _mu(raw: str) -> None:
+    if raw != "auto":
+        raise ValidationError(f"config key 'rpca.mu': bad value '{raw}'; only 'auto' is "
+                              f"accepted, mu_0 is always {MU_SCALE} / ||X||_2")
+
+
 # key -> (cast, target, ...): a target is a RunConfig field, or a section
-# field as "section.field", or a tuple entry as "section.field.index"
+# field as "section.field", or a tuple entry as "section.field.index";
+# rpca.mu has none and parses only so that configs spelling out 'auto' do
 KEYS = {
     "synth.m": (int, "ground_truth.m"), "synth.n": (int, "ground_truth.n"),
     "synth.rank": (int, "ground_truth.rank"),
@@ -125,7 +131,7 @@ KEYS = {
     "synth.corruption_max": (float, "scenario.corruption_interval.1"),
     "synth.per_frame": (_bool, "scenario.per_frame"),
     "synth.dt": (float, "dt"), "synth.time_jitter": (float, "time_jitter"),
-    "rpca.lambda": (_auto, "rpca.lam"), "rpca.mu": (_auto, "rpca.mu"),
+    "rpca.lambda": (_auto, "rpca.lam"), "rpca.mu": (_mu,),
     "rpca.max_iters": (int, "rpca.max_iters"), "rpca.tol": (float, "rpca.tol"),
     "osp.r": (int, "r"), "osp.s": (int, "s"),
     "train.window": (int, "train.window"), "train.horizon": (int, "train.horizon"),

@@ -9,11 +9,15 @@ The robust solver is the inexact augmented-Lagrangian method of Lin, Chen
     Lambda <- Lambda + mu * (X - L - S)
     mu <- min(MU_GROWTH * mu, MU_CAP * mu_0)    (or held, see below)
 
-under one capped penalty schedule, mu_0 = MU_SCALE / ||X||_2 unless the
-config fixes it.  The singular value threshold computes only the
-triplets above 1/mu, warm-started from the previous iteration's, and to
-SVT_RTOL_FACTOR times the previous primal residual: the ALM converges when
-its proximal steps err summably (Eckstein & Bertsekas 1992).
+under one capped penalty schedule from Lin, Chen & Ma's start
+mu_0 = MU_SCALE / ||X||_2, which no config can move: from a mu_0 far above
+it the threshold 1/mu keeps the whole spectrum, and the primal residual,
+the stopping test, falls below tol within two iterations on a full-rank
+L.  The singular
+value threshold computes only the triplets above 1/mu, warm-started from
+the previous iteration's, and to SVT_RTOL_FACTOR times the previous
+primal residual: the ALM converges when its proximal steps err summably
+(Eckstein & Bertsekas 1992).
 
 mu grows only while the iteration keeps up with it.  The dual residual
 mu ||S - S_prev|| / ||Lambda|| measures how far Lambda is from a
@@ -41,7 +45,7 @@ from .linalg import (
     validate_matrix,
 )
 
-#: mu_0 = MU_SCALE / ||X||_2 when the config leaves mu unset
+#: mu_0 = MU_SCALE / ||X||_2
 MU_SCALE = 1.25
 
 #: factor by which the penalty grows each iteration
@@ -64,21 +68,16 @@ class RpcaConfig:
     """Solver parameters.
 
     lam: sparsity weight; None selects the scale-free 1/sqrt(max(m, n)).
-    mu: mu_0 of the capped penalty schedule; None selects
-        MU_SCALE / ||X||_2.
     tol: the run has converged once ||X - L - S|| / ||X|| <= tol.
     """
 
     lam: float | None = None
-    mu: float | None = None
     max_iters: int = 500
     tol: float = 1e-7
 
     def validate(self) -> None:
         if self.lam is not None and not self.lam > 0:
             raise ValidationError("lam must be positive")
-        if self.mu is not None and not self.mu > 0:
-            raise ValidationError("mu must be positive")
         if not 0 < self.tol < 1:
             raise ValidationError("tol must lie in (0, 1)")
         if self.max_iters < 1:
@@ -131,7 +130,7 @@ def rpca(X, cfg: RpcaConfig | None = None) -> RpcaResult:
 
     lam = cfg.lam if cfg.lam is not None else 1.0 / np.sqrt(max(m, n))
     norm2 = float(svd_topk(X, 1, check_finite=False).singular_values[0])
-    mu = cfg.mu if cfg.mu is not None else MU_SCALE / norm2
+    mu = MU_SCALE / norm2
     mu_max = MU_CAP * mu
     # dual-feasible scaling of the initial multiplier
     Lambda = X / max(norm2, np.abs(X).max() / lam)

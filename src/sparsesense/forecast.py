@@ -21,11 +21,12 @@ reduction over all T * B rows, not T rank-B updates (Appleyard, Kočiský
 (in the spirit of Gruslys et al., arXiv:1606.03401, but with no
 recomputation).  A batch allocates no buffer that grows with T.
 
-The rollout runs each sliding window from the zero state, as training
-does, but not one window at a time: the first window is a plain forward
-pass over the seed rows, and the later windows advance as one wavefront,
-all windows in flight reading the same row in one batched step (see
-`predict_multistep`).
+Training and rollout share one cell, `_step`, on gate-major weights
+(`_gate_major`).  The rollout runs each sliding window from the zero
+state, as training does, but not one window at a time: the first window
+is a plain forward pass over the seed rows, and the later windows advance
+as one wavefront, all windows in flight reading the same row in one
+batched step (see `predict_multistep`).
 
 Gate weights are packed as four H-wide blocks in the fixed order
 [input, forget, candidate, output]:
@@ -191,7 +192,8 @@ def _step(z: np.ndarray, c: np.ndarray, c_next: np.ndarray, tc: np.ndarray,
           h_next: np.ndarray) -> None:
     """One LSTM step for a batch of rows, in place: the gate
     pre-activations z (4, B, H) become the gates [i, f, g, o], and the
-    cell state c (B, H) gives c_next, tc = tanh(c_next) and h_next."""
+    cell state c (B, H) gives c_next, tc = tanh(c_next) and h_next.
+    c_next may overlap c: the rollout moves each state up one position."""
     with np.errstate(over="ignore"):
         _sigmoid(z[:2])
         _sigmoid(z[3])
@@ -201,17 +203,6 @@ def _step(z: np.ndarray, c: np.ndarray, c_next: np.ndarray, tc: np.ndarray,
     c_next += np.multiply(i, g, out=tc)
     np.tanh(c_next, out=tc)
     np.multiply(o, tc, out=h_next)
-
-
-def _cell(z: np.ndarray, c: np.ndarray) -> tuple[tuple, np.ndarray, np.ndarray]:
-    """One LSTM step for a batch of rows: gate pre-activations z (B, 4H)
-    and cell state c (B, H) -> the gates (i, f, g, o, tanh(c')) kept for
-    backpropagation, the new cell state c' and hidden state h'."""
-    B, H = c.shape
-    gates = np.ascontiguousarray(z.reshape(B, 4, H).transpose(1, 0, 2))
-    c_next, tc, h_next = np.empty_like(c), np.empty_like(c), np.empty_like(c)
-    _step(gates, c, c_next, tc, h_next)
-    return (*gates, tc), c_next, h_next
 
 
 def _gate_major(W: np.ndarray) -> np.ndarray:
@@ -390,15 +381,15 @@ def _backward_batch(model: LstmModel, cache: dict,
     return grads
 
 
-def lstm_forward(model: LstmModel, sequence: np.ndarray, training: bool = False,
-                 rng: np.random.Generator | None = None) -> tuple[np.ndarray, dict]:
-    """One de-normalized prediction from one raw (T, s) input sequence."""
+def lstm_forward(model: LstmModel, sequence: np.ndarray) -> tuple[np.ndarray, dict]:
+    """One de-normalized prediction from one raw (T, s) input sequence,
+    dropout off."""
     sequence = np.asarray(sequence, dtype=np.float64)
     if sequence.ndim != 2 or sequence.shape[1] != model.input_dim or not len(sequence):
         raise ValidationError(f"sequence shape {sequence.shape} is not (T >= 1, "
                               f"input dim {model.input_dim})")
     xn = model.normalize(sequence)[None, :, :]
-    out, cache = _forward_batch(model, xn, training, rng)
+    out, cache = _forward_batch(model, xn, False, None)
     return model.denormalize(out[0]), cache
 
 
@@ -521,28 +512,34 @@ def predict_multistep(model: LstmModel, seed_window: np.ndarray,
     forward pass bit for bit.  Windows 1.. run as one wavefront: at wave
     tau every window in flight reads row tau, at its own position, so
     row tau is projected once and the recurrent product of all of them
-    is one GEMM; the window that ends at wave tau writes row tau + 1
-    before wave tau + 1 reads it.  That is T + horizon - 2 waves (none
-    at horizon 1), not T * horizon steps.  The state is kept by
-    position, not by window: h[p], c[p] belong to the window that has
-    read p rows, and row 0 is the zero state, so memory is O(T * H)
-    whatever the horizon.  Rows 1.. differ from a per-window forward
-    pass only by GEMM-against-GEMV rounding.
+    is one GEMM per gate, into gate-major pre-activations that `_step`
+    activates in place, as in training; the window that ends at wave tau
+    writes row tau + 1 before wave tau + 1 reads it.  That is
+    T + horizon - 2 waves (none at horizon 1), not T * horizon steps.
+    The state is kept by position, not by window: h[p], c[p] belong to
+    the window that has read p rows, and row 0 is the zero state, so
+    memory is O(T * H) whatever the horizon.  Rows 1.. differ from a
+    per-window forward pass only by GEMM-against-GEMV rounding.
     """
     if horizon < 1:
         raise ValidationError("horizon must be at least 1")
     first, _ = lstm_forward(model, seed_window)
     T, H, p = len(seed_window), model.hidden_dim, model.params
+    Wx, Wh, b = _gate_major(p["Wx"]), _gate_major(p["Wh"]), p["b"].reshape(4, 1, H)
     seq = np.empty((T + horizon, model.input_dim))
     seq[:T] = seed_window
     seq[T] = first
     h, c = np.zeros((T + 1, H)), np.zeros((T + 1, H))
+    # flat, so each wave's (4, B, H) view is contiguous, as in a Workspace
+    z, tc = np.empty(4 * T * H), np.empty((T, H))
     # window 1 reads row 1 at wave 1; window horizon - 1 ends at wave T + horizon - 2
     for tau in range(1, T + horizon - 1 if horizon > 1 else 1):
         # window tau - p sits at position p, for p in lo..hi-1; each moves up one
         lo, hi = max(0, tau - horizon + 1), min(tau, T)
-        zx = model.normalize(seq[tau:tau + 1]) @ p["Wx"] + p["b"]
-        _, c[lo + 1:hi + 1], h[lo + 1:hi + 1] = _cell(zx + h[lo:hi] @ p["Wh"], c[lo:hi])
+        zt = z[:4 * (hi - lo) * H].reshape(4, hi - lo, H)
+        np.matmul(h[lo:hi], Wh, out=zt)
+        zt += np.matmul(model.normalize(seq[tau:tau + 1]), Wx) + b
+        _step(zt, c[lo:hi], c[lo + 1:hi + 1], tc[:hi - lo], h[lo + 1:hi + 1])
         if hi == T:
             seq[tau + 1] = model.denormalize(_head(p, h[T:])[2][0])
     return seq[T:]

@@ -231,10 +231,6 @@ class Xoshiro256pp:
         (size,) + lanes block."""
         return _unit(self.next_u64() if size is None else self.next_u64s(size))
 
-    def random_open(self) -> float:
-        """Uniform double in (0, 1], safe as a log argument."""
-        return _unit_open(self.next_u64())
-
     def uniform(self, lo: float, hi: float, size: int | None = None):
         return lo + (hi - lo) * self.random(size)
 

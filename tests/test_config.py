@@ -1,9 +1,16 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparsesense.config import KEYS, RunConfig, parse_config
 from sparsesense.errors import ValidationError
 from sparsesense.synth import Scenario
+
+
+ROOT = Path(__file__).resolve().parents[1]
+SHIPPED = sorted([*(ROOT / "configs").glob("*.cfg"),
+                  *(ROOT / "perfbench" / "workloads").glob("*.cfg")])
 
 
 def write_cfg(tmp_path, text):
@@ -24,7 +31,7 @@ osp.r = 10
 """)
     cfg = parse_config(path)
     assert (cfg.ground_truth.m, cfg.ground_truth.n) == (100, 50)
-    assert cfg.rpca.lam == 0.006 and cfg.rpca.mu is None
+    assert cfg.rpca.lam == 0.006
     assert cfg.r == 10
 
 
@@ -73,10 +80,31 @@ synth.corruption_max = 20
 
 
 def test_rpca_config_auto_and_explicit(tmp_path):
-    cfg = parse_config(write_cfg(tmp_path, "rpca.lambda = auto\nrpca.mu = 1e-5\n"))
-    rc = cfg.rpca
-    assert rc.lam is None and rc.mu == 1e-5
+    rc = parse_config(write_cfg(tmp_path, "rpca.lambda = auto\nrpca.mu = auto\n")).rpca
+    assert rc.lam is None
     assert rc.max_iters == 500 and rc.tol == 1e-7
+    rc = parse_config(write_cfg(tmp_path, "rpca.lambda = 0.01\nrpca.tol = 1e-6\n")).rpca
+    assert rc.lam == 0.01 and rc.tol == 1e-6
+    # mu_0 is not a setting: any number is refused, naming the key
+    for value in ("1e-5", "inf", "1e-320", "1e300", "-1"):
+        with pytest.raises(ValidationError, match="rpca.mu"):
+            parse_config(write_cfg(tmp_path, f"rpca.mu = {value}\n"))
+
+
+def test_shipped_configs_are_found():
+    names = {p.name for p in SHIPPED}
+    assert {"small.cfg", "desk_scale.cfg", "desk.cfg", "selftest-bad.cfg"} <= names
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_shipped_config_parses(path):
+    # a key that a committed config uses must not be removed or narrowed
+    # under it; the harness's own bad config must stay bad
+    if path.name == "selftest-bad.cfg":
+        with pytest.raises(ValidationError):
+            parse_config(path)
+    else:
+        assert isinstance(parse_config(path), RunConfig)
 
 
 def test_train_config_defaults_match_reference_setup(tmp_path):

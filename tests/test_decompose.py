@@ -138,10 +138,13 @@ def test_rpca_rejects_bad_inputs():
 
 
 def test_rpca_fixed_penalty_parameters_accepted():
-    # fixed penalty and sparsity weight, as opposed to the auto defaults
+    # a fixed sparsity weight, as opposed to the auto default; the penalty
+    # schedule has no parameter to fix
     L0, S0, _ = low_rank_plus_sparse(seed=9, m=60, n=40, rank=2)
-    res = rpca(L0 + S0, RpcaConfig(lam=0.006, mu=1e-5, max_iters=5))
+    res = rpca(L0 + S0, RpcaConfig(lam=0.006, max_iters=5))
     assert res.iterations == 5
+    with pytest.raises(TypeError):
+        RpcaConfig(mu=1e-5)
 
 
 def test_rpca_capped_penalty_schedule_and_kept_counts():
@@ -160,9 +163,6 @@ def test_rpca_capped_penalty_schedule_and_kept_counts():
         assert res.mu_history[i + 1] == want
     assert res.mu_history[-1] > mu0
     assert res.kept_history[-1] == 3
-    # a configured mu is mu_0 of the same schedule
-    fixed = rpca(X, RpcaConfig(mu=1e-3, max_iters=4))
-    assert fixed.mu_history == pytest.approx([1e-3, 1.5e-3, 2.25e-3, 3.375e-3], rel=1e-15)
 
 
 def test_rpca_mu_stops_at_the_cap(monkeypatch):

@@ -161,8 +161,8 @@ def test_inference_deterministic_and_pure():
     model = tiny_model(dropout=0.2)
     seq = np.random.default_rng(1).standard_normal((4, 2))
     before = {k: v.copy() for k, v in model.params.items()}
-    p1, _ = lstm_forward(model, seq, training=False)
-    p2, _ = lstm_forward(model, seq, training=False)
+    p1, _ = lstm_forward(model, seq)
+    p2, _ = lstm_forward(model, seq)
     np.testing.assert_array_equal(p1, p2)
     for k in before:
         np.testing.assert_array_equal(model.params[k], before[k])
@@ -170,13 +170,12 @@ def test_inference_deterministic_and_pure():
 
 def test_dropout_only_active_in_training():
     model = tiny_model(dropout=0.5)
-    seq = np.random.default_rng(2).standard_normal((4, 2))
+    xb = np.random.default_rng(2).standard_normal((1, 4, 2))
     rng = np.random.default_rng(0)
-    outs = {tuple(lstm_forward(model, seq, training=True, rng=rng)[0])
-            for _ in range(8)}
+    outs = {tuple(forecast._forward_batch(model, xb, True, rng)[0][0]) for _ in range(8)}
     assert len(outs) > 1  # masks vary across calls
     with pytest.raises(ValidationError):
-        lstm_forward(model, seq, training=True, rng=None)
+        forecast._forward_batch(model, xb, True, None)
 
 
 def test_forward_shape_validation():
@@ -509,6 +508,50 @@ def test_rollout_rows_equal_forward_pass_on_their_windows(s, H, D, T, horizon, s
     seq = np.vstack([window, pred])
     want = np.array([lstm_forward(model, seq[k:k + T])[0] for k in range(horizon)])
     assert np.abs(pred - want).max() <= 1e-12 * np.abs(pred).max()
+
+
+def _cell_rollout(model, seed_window, horizon):
+    """The wavefront rollout on the [i, f, g, o] row layout: each wave's
+    (B, 4H) pre-activations x @ Wx + b + h @ Wh in one GEMM per product,
+    copied gate-major before `_step`.  The reference for the per-gate
+    GEMMs of `predict_multistep`."""
+    first, _ = lstm_forward(model, seed_window)
+    T, H, p = len(seed_window), model.hidden_dim, model.params
+    seq = np.empty((T + horizon, model.input_dim))
+    seq[:T] = seed_window
+    seq[T] = first
+    h, c = np.zeros((T + 1, H)), np.zeros((T + 1, H))
+    for tau in range(1, T + horizon - 1 if horizon > 1 else 1):
+        lo, hi = max(0, tau - horizon + 1), min(tau, T)
+        z = model.normalize(seq[tau:tau + 1]) @ p["Wx"] + p["b"] + h[lo:hi] @ p["Wh"]
+        gates = np.ascontiguousarray(z.reshape(hi - lo, 4, H).transpose(1, 0, 2))
+        c_next, tc, h_next = np.empty((3, hi - lo, H))
+        forecast._step(gates, c[lo:hi], c_next, tc, h_next)
+        c[lo + 1:hi + 1], h[lo + 1:hi + 1] = c_next, h_next
+        if hi == T:
+            seq[tau + 1] = model.denormalize(forecast._head(p, h[T:])[2][0])
+    return seq[T:]
+
+
+@settings(max_examples=40, deadline=None)
+@given(s=st.integers(1, 4), H=st.sampled_from([1, 3, 8, 32, 128]), D=st.integers(1, 4),
+       T=st.integers(1, 12), kind=st.sampled_from(["one", "below T", "above T"]),
+       offset=st.integers(0, 20), seed=st.integers(0, 2**32 - 1))
+@example(s=2, H=128, D=3, T=12, kind="below T", offset=4, seed=0)
+@example(s=3, H=8, D=4, T=5, kind="above T", offset=20, seed=1)
+@example(s=1, H=3, D=2, T=9, kind="above T", offset=7, seed=2)
+def test_rollout_equals_the_separate_cell_rollout(s, H, D, T, kind, offset, seed):
+    horizon = {"one": 1, "below T": 1 + offset % max(T - 1, 1), "above T": T + 1 + offset}[kind]
+    model = random_model(s, H, D, seed)
+    window = np.random.default_rng(seed + 1).standard_normal((T, s))
+    pred, want = predict_multistep(model, window, horizon), _cell_rollout(model, window, horizon)
+    if H >= 8:
+        np.testing.assert_array_equal(pred, want)
+    else:
+        # one GEMM per gate takes another BLAS path than the (B, 4H) one at
+        # so few columns; 16,000 draws of this test's inputs differed by at
+        # most 4.0e-15
+        assert np.abs(pred - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_rollout_state_does_not_grow_with_horizon():

@@ -257,6 +257,12 @@ def test_cli_training_divergence_exit_3(workspace, tmp_path, capsys):
     "rpca.lambda = abc",
     "synth.scenario = 7",
     "rpca.mu = -1",
+    # no number may move mu_0 off 1.25 / ||X||_2: inf and 1e-320 break the
+    # SVD, and 1e300 reports `converged` on a full-rank L
+    "rpca.mu = inf",
+    "rpca.mu = 1e-320",
+    "rpca.mu = 1e300",
+    "rpca.mu = 1e-5",
     "rpca.lambda = nan",
     "train.learning_rate = nan",
     "osp.s = 1",                  # below osp.r = 2

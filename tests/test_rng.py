@@ -37,8 +37,10 @@ def test_random_in_unit_interval():
     gen = Xoshiro256pp(7)
     draws = [gen.random() for _ in range(1000)]
     assert all(0.0 <= d < 1.0 for d in draws)
-    gen = Xoshiro256pp(7)
-    assert all(0.0 < gen.random_open() <= 1.0 for _ in range(1000))
+    # Box-Muller's log argument: (0, 1], ends included
+    raw = np.array([0, 1, 2**64 - 1, *Xoshiro256pp(7).next_u64s(1000)], dtype=np.uint64)
+    u = rng._unit_open(raw)
+    assert np.all((u > 0.0) & (u <= 1.0)) and u[0] == 2.0**-53 and u[2] == 1.0
 
 
 def test_below_unbiased_range():
