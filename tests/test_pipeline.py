@@ -194,11 +194,14 @@ def test_evaluate_writes_stage_timings(workspace):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", [3, 2**64 + 3])  # seeds are masked to 64 bits
 def test_sample_times_golden_bytes(seed):
-    cfg = RunConfig(ground_truth=GroundTruthSpec(m=4, n=57, rank=1, seed=seed),
-                    time_jitter=0.4)
-    times = pipeline._sample_times(cfg)
-    assert hashlib.sha256(times.tobytes()).hexdigest() == (
-        "702784fc1743183cab911da53a7942488bdc4fa15750059abd06f27fc0c1f1ae")
+    # n = 1000 takes 999 draws on one stream, a block that jumps ahead
+    for n, want in [
+            (57, "702784fc1743183cab911da53a7942488bdc4fa15750059abd06f27fc0c1f1ae"),
+            (1000, "f59f45b7deddc6419114cf60bf071134b78e50650683e3fb9fc611639d648459")]:
+        cfg = RunConfig(ground_truth=GroundTruthSpec(m=4, n=n, rank=1, seed=seed),
+                        time_jitter=0.4)
+        times = pipeline._sample_times(cfg)
+        assert hashlib.sha256(times.tobytes()).hexdigest() == want, n
 
 
 # command-line interface

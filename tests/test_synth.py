@@ -114,6 +114,12 @@ def test_scenario_validation():
         apply_scenario(X, ScenarioSpec(noise_std=-1.0))
 
 
+def test_ground_truth_golden_bytes():
+    # 5 * rank scalar draws on one stream
+    X = generate_ground_truth(GroundTruthSpec(m=64, n=48, rank=10, seed=0))
+    assert hashlib.sha256(X.tobytes()).hexdigest() == (
+        "fa653b0c9409fdf443cac636b23ece07117f9b4cea897655996aae3a05e36fc1")
+
 # ----------------------------------------------------------------------
 # golden bytes: sha256 of apply_scenario's outputs, recorded from the
 # one-stream-at-a-time generator.  An odd row count, a seed above 2**64
