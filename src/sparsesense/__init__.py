@@ -1,7 +1,7 @@
 """Robust cleaning, sparse-sensor compression, and LSTM forecasting of
 space-time data matrices (rows = spatial points, columns = time samples)."""
 
-from .decompose import RpcaConfig, RpcaResult, clean, pca_reconstruct, rpca
+from .decompose import RpcaConfig, RpcaResult, pca_reconstruct, rpca
 from .errors import (
     BoundsError,
     ConstraintError,

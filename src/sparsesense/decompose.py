@@ -171,8 +171,3 @@ def rpca(X, cfg: RpcaConfig | None = None) -> RpcaResult:
             mu = min(MU_GROWTH * mu, mu_max)
     result.S = S
     return result
-
-
-def clean(X, cfg: RpcaConfig | None = None) -> np.ndarray:
-    """Convenience wrapper returning only the low-rank (cleaned) part."""
-    return rpca(X, cfg).L

@@ -6,11 +6,11 @@ that they are bit-identical across runs and platforms.  Gaussian variates
 come from Box-Muller with both outputs consumed in order; uniform integers
 use unbiased rejection sampling.
 
-One generator can also hold many independent streams as lanes, such as
-one per time frame (`substream` with an array of indices).  The lanes step
-together in numpy uint64 arithmetic, and every derived draw is computed
-over a (k, lanes) block of raw outputs, so lane l yields exactly what the
-single stream with lane l's seed would.
+A generator holds its streams as lanes: one for an int seed, or many
+independent ones, such as one per time frame (`substream` with an array
+of indices).  The lanes step together in numpy uint64 arithmetic, and
+every derived draw is computed over a (k, lanes) block of raw outputs, so
+lane l yields exactly what the single stream with lane l's seed would.
 
 A long block on few lanes would step one narrow row at a time, so it
 jumps ahead instead.  The xoshiro256++ state transition is linear over
@@ -53,9 +53,7 @@ _DEG = 256
 #: the lanes times segments that a jumped block draw steps together
 _WIDE = 2048
 
-#: the shortest block that jumps: the _DEG recorded rows, then as many
-#: again; a single stream, whose Python-int steps cost a seventh of a
-#: numpy row, needs twice that before the jump pays
+#: the shortest block that jumps: the _DEG recorded rows, then as many again
 _JUMP_MIN = 2 * _DEG
 
 #: the largest |z| that `normals` draws at std 1: the Box-Muller radius
@@ -71,10 +69,6 @@ def splitmix64_next(state):
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return state, (z ^ (z >> 31)) & _MASK64
-
-
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
 
 
 def _unit(u):
@@ -157,71 +151,48 @@ def _jump_rows(record: np.ndarray, out: np.ndarray) -> np.ndarray:
 class Xoshiro256pp:
     """xoshiro256++ with splitmix64 seeding.
 
-    Seeded with an int, it is one stream and its draws are scalars or 1-D
-    arrays.  Seeded with a 1-D uint64 array, it holds one stream (lane)
-    per entry and its block draws gain a trailing lane axis; lane l equals
-    the stream seeded with seed[l], bit for bit.  Several lanes step as
-    numpy uint64 arithmetic at some 7 us per row for all of them; one
-    stream steps in Python ints at about 1 us per draw.  A block of at
-    least _JUMP_MIN rows (twice that for one stream) on at most
-    _WIDE // 4 lanes records its first _DEG states and jumps ahead from
-    them, so that the rest of the block steps up to _WIDE lanes wide
-    (`_jump_rows`).
+    Seeded with an int, it is one stream, a single lane, and its draws are
+    numpy scalars or 1-D arrays.  Seeded with a 1-D uint64 array, it holds
+    one stream (lane) per entry and its block draws gain a trailing lane
+    axis; lane l equals the stream seeded with seed[l], bit for bit.  Every
+    layout keeps its state as a (4, lanes) uint64 array and steps it in
+    numpy uint64 arithmetic, at some 12 us per row for a few hundred lanes
+    and 18 us for one (numpy's in-place ufuncs cost more on one-element
+    arrays; 2-core host, numpy 2.4.6).  A block of at least _JUMP_MIN rows
+    on at most _WIDE // 4 lanes records its first _DEG states and jumps
+    ahead from them, so that the rest of the block steps up to _WIDE lanes
+    wide (`_jump_rows`).
     """
 
     def __init__(self, seed):
         self._lanes = np.shape(seed)
-        state = np.asarray(seed, dtype=np.uint64) if self._lanes else int(seed) & _MASK64
+        # mask an int seed in Python first: uint64 cannot hold every int
+        state = np.asarray(seed if self._lanes else [int(seed) & _MASK64], dtype=np.uint64)
         s = []
         for _ in range(4):
             state, out = splitmix64_next(state)
             s.append(out)
-        # one stream's state is 4 ints, several lanes' a (4, lanes) array
-        self._s = [int(x[0]) for x in s] if self._lanes == (1,) else (
-            np.stack(s) if self._lanes else s)
+        self._s = np.stack(s)
 
     def next_u64(self):
-        """The next raw output: an int, or a uint64 array of one per lane."""
-        if not isinstance(self._s, list):
-            return self.next_u64s(1)[0]
-        s0, s1, s2, s3 = self._s
-        result = (_rotl((s0 + s3) & _MASK64, 23) + s0) & _MASK64
-        t = (s1 << 17) & _MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = _rotl(s3, 45)
-        self._s = [s0, s1, s2, s3]
-        return result
+        """The next raw output: a uint64 scalar, or an array of one per lane."""
+        return self.next_u64s(1)[0]
 
     def next_u64s(self, k: int) -> np.ndarray:
         """The next k raw outputs of every lane, as a (k,) + lanes block."""
-        out = np.empty((k, math.prod(self._lanes)), dtype=np.uint64)
+        out = np.empty((k, self._s.shape[1]), dtype=np.uint64)
         self._fill(out)
         return out.reshape((k,) + self._lanes)
 
     def _fill(self, out: np.ndarray) -> None:
-        """Fill out, a (k, lanes) uint64 block (one lane for one stream),
-        with the next k raw outputs of every lane."""
+        """Fill out, a (k, lanes) uint64 block, with the next k raw outputs
+        of every lane."""
         k, lanes = out.shape
-        single = isinstance(self._s, list)
-        jump = k >= _JUMP_MIN * (2 if single else 1) and _WIDE // lanes >= 4
-        head = out[:_DEG] if jump else out
-        if single:
-            draws, states = [], []
-            for _ in range(len(head)):
-                states.append(self._s)
-                draws.append(self.next_u64())
-            head[:, 0] = draws
-            record = np.array(states, dtype=np.uint64)[:, :, None] if jump else None
-        else:
-            record = np.empty((_DEG, 4, lanes), dtype=np.uint64) if jump else None
-            _xoshiro_rows(self._s, head, record)
+        jump = k >= _JUMP_MIN and _WIDE // lanes >= 4
+        record = np.empty((_DEG, 4, lanes), dtype=np.uint64) if jump else None
+        _xoshiro_rows(self._s, out[:_DEG] if jump else out, record)
         if jump:
-            end = _jump_rows(record, out)
-            self._s = [int(x) for x in end[:, 0]] if single else end
+            self._s = _jump_rows(record, out)
 
     # ------------------------------------------------------------------
     # derived draws
@@ -250,17 +221,12 @@ class Xoshiro256pp:
         return lo + (hi - lo) * _unit(u[1::2])
 
     def below(self, bound: int):
-        """Unbiased integer in [0, bound) by rejection, one per lane; only
-        the lanes whose draw is rejected draw again."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
+        """Unbiased integer in [0, bound) by rejection: a uint64 scalar, or
+        one per lane; only the lanes whose draw is rejected draw again."""
+        if not 1 <= bound < 1 << 64:
+            raise ValueError("bound must be in [1, 2**64)")
         limit = (1 << 64) - ((1 << 64) % bound)
-        if isinstance(self._s, list):
-            x = self.next_u64()
-            while x >= limit:
-                x = self.next_u64()
-            return np.array([x % bound], dtype=np.uint64) if self._lanes else x % bound
-        x = self.next_u64s(1)[0]
+        x = self.next_u64s(1).reshape(-1)
         retry = np.flatnonzero(x >= limit)
         while retry.size:
             s = self._s[:, retry]
@@ -269,7 +235,7 @@ class Xoshiro256pp:
             self._s[:, retry] = s
             x[retry] = redraw[0]
             retry = retry[redraw[0] >= limit]
-        return x % bound
+        return (x % bound).reshape(self._lanes)[()]
 
     def _below_each(self, bounds: np.ndarray) -> np.ndarray:
         """What `below(bounds[i])` for i = 0, 1, ... draws, as a
@@ -297,7 +263,7 @@ class Xoshiro256pp:
         the log of its radii is `math.log` per element, the one
         transcendental whose numpy form changes bytes (see the module
         docstring)."""
-        rows, lanes = 2 * -(-n // 2), math.prod(self._lanes)
+        rows, lanes = 2 * -(-n // 2), self._s.shape[1]
         out = np.empty((rows,) + self._lanes)
         raw = out.view(np.uint64)
         self._fill(raw.reshape(rows, lanes))
@@ -318,8 +284,8 @@ class Xoshiro256pp:
     def sample_without_replacement(self, population: int, k: int) -> np.ndarray:
         """k distinct integers from [0, population) per lane, a (k,) + lanes
         block in selection order (partial Fisher-Yates)."""
-        if k > population:
-            raise ValueError("cannot sample more items than the population")
+        if not 0 <= k <= population:
+            raise ValueError("k must be in [0, population]")
         dtype = np.int32 if population <= np.iinfo(np.int32).max else np.int64
         pool = np.empty((population,) + self._lanes, dtype=dtype)
         pool.T[...] = np.arange(population, dtype=dtype)

@@ -9,7 +9,6 @@ from sparsesense.decompose import (
     MU_GROWTH,
     MU_SCALE,
     RpcaConfig,
-    clean,
     pca_reconstruct,
     rpca,
 )
@@ -58,7 +57,7 @@ def test_pca_worse_than_rpca_on_outliers():
     # 100 outliers per frame needs a spatial dimension where that is sparse
     G = generate_ground_truth(GroundTruthSpec(m=500, n=120, rank=3, seed=2))
     X, _ = apply_scenario(G, ScenarioSpec(scenario=Scenario.OUTLIERS, seed=5))
-    err_rpca = np.linalg.norm(clean(X) - G)
+    err_rpca = np.linalg.norm(rpca(X).L - G)
     err_pca = np.linalg.norm(pca_reconstruct(X, 3) - G)
     assert err_rpca < err_pca
 
@@ -249,7 +248,7 @@ def test_rpca_holds_mu_where_growing_it_would_freeze_the_iterate():
 
 
 def test_clean_zero():
-    assert not clean(np.zeros((4, 4))).any()
+    assert not rpca(np.zeros((4, 4))).L.any()
 
 
 def test_clean_plus_sparse_reproduces_input():
@@ -265,4 +264,4 @@ def test_clean_improves_rmse_on_noise_scenario():
     X, _ = apply_scenario(G, ScenarioSpec(scenario=Scenario.NOISE, seed=8))
     def frob_rmse(A, B):
         return np.sqrt(np.mean((A - B) ** 2))
-    assert frob_rmse(clean(X), G) < frob_rmse(X, G)
+    assert frob_rmse(rpca(X).L, G) < frob_rmse(X, G)

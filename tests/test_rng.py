@@ -21,7 +21,7 @@ def test_splitmix64_known_sequence():
 
 def test_xoshiro_first_output_from_unit_state():
     gen = Xoshiro256pp(0)
-    gen._s = [1, 2, 3, 4]
+    gen._s = np.array([[1], [2], [3], [4]], dtype=np.uint64)
     # rotl(s0 + s3, 23) + s0 = rotl(5, 23) + 1
     assert gen.next_u64() == 5 * (1 << 23) + 1
 
@@ -49,6 +49,18 @@ def test_below_unbiased_range():
     assert set(draws) == set(range(7))
     with pytest.raises(ValueError):
         gen.below(0)
+
+
+@pytest.mark.parametrize("seed", [11, np.arange(3, dtype=np.uint64)], ids=["one", "lanes"])
+@pytest.mark.parametrize("bound", [-1, 0, 2**64, 2**64 + 1])
+def test_below_rejects_a_bound_outside_uint64_before_drawing(seed, bound):
+    # a bound above 2**64 would make every draw a rejection, and loop forever
+    gen = Xoshiro256pp(seed)
+    state = gen._s.copy()
+    with pytest.raises(ValueError):
+        gen.below(bound)
+    assert np.array_equal(gen._s, state)
+    assert np.all(gen.below(2**64 - 1) < 2**64 - 1)
 
 
 def test_normals_moments():
@@ -97,6 +109,14 @@ def test_sample_without_replacement_distinct():
         gen.sample_without_replacement(5, 6)
 
 
+def test_sample_without_replacement_rejects_a_negative_count():
+    gen = Xoshiro256pp(0)
+    state = gen._s.copy()
+    with pytest.raises(ValueError):
+        gen.sample_without_replacement(10, -3)
+    assert np.array_equal(gen._s, state)
+
+
 def test_substreams_independent_and_deterministic():
     a = substream(42, 0)
     b = substream(42, 1)
@@ -124,10 +144,13 @@ def oracle_rotl(x, k):
 
 
 class Oracle:
-    """substream(seed, index), one Python-int step at a time."""
+    """substream(seed, index), or Xoshiro256pp(seed) without an index, one
+    Python-int step at a time."""
 
-    def __init__(self, seed, index):
-        _, state = oracle_splitmix((seed ^ (0x9E3779B97F4A7C15 * (index + 1))) & M64)
+    def __init__(self, seed, index=None):
+        state = seed & M64
+        if index is not None:
+            _, state = oracle_splitmix((seed ^ (0x9E3779B97F4A7C15 * (index + 1))) & M64)
         self.s = []
         for _ in range(4):
             state, out = oracle_splitmix(state)
@@ -230,6 +253,64 @@ def test_lane_coin_uniforms_match_one_stream(seed, index, k):
     assert_lanes_match(block, [draws(Oracle(seed, j)) for j in index])
 
 
+# one stream: a generator seeded with an int is a single lane
+
+one_stream_ops = st.one_of(
+    st.just(("random",)),
+    st.sampled_from([("uniform", -15.0, 30.0), ("uniform", 0.0, 2.0 * math.pi)]),
+    st.just(("coin",)),
+    st.just(("next_u64",)),
+    # bounds >= 2**63 reject about half of all draws
+    st.tuples(st.just("below"), st.one_of(st.integers(1, 100), st.integers(2**63, 2**64 - 1))),
+    # blocks around the jump threshold and past the recorded rows
+    st.tuples(st.just("next_u64s"), st.one_of(st.integers(0, 5), st.integers(250, 262),
+                                              st.integers(506, 518), st.integers(1018, 1030))))
+
+
+def oracle_draw(o, op):
+    name, *args = op
+    if name == "random":
+        return o.random()
+    if name == "uniform":
+        lo, hi = args
+        return lo + (hi - lo) * o.random()
+    if name == "coin":
+        return bool(o.next() >> 63)
+    if name == "next_u64":
+        return o.next()
+    if name == "below":
+        return o.below(args[0])
+    return [o.next() for _ in range(args[0])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.lists(one_stream_ops, max_size=12))
+def test_one_stream_interleaved_draws_match_oracle(seed, ops):
+    gen, oracle = Xoshiro256pp(seed), Oracle(seed)
+    for op in ops:
+        got, want = getattr(gen, op[0])(*op[1:]), oracle_draw(oracle, op)
+        if op[0] == "next_u64s":
+            assert got.shape == (op[1],) and got.tolist() == want, op
+        else:
+            assert got == want, op
+            if op[0] in ("next_u64", "below"):
+                assert isinstance(got, np.uint64), op
+    assert gen.next_u64() == oracle.next()
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds, st.sampled_from([3, 300, 600, 1100]), st.integers(1, 40))
+def test_one_lane_array_seed_equals_int_seed(seed, k, n):
+    one = Xoshiro256pp(seed)
+    lane = Xoshiro256pp(np.array([seed & M64], dtype=np.uint64))
+    assert lane.next_u64s(k).tobytes() == one.next_u64s(k).tobytes()
+    assert lane.below(2**63 + 1).tolist() == [one.below(2**63 + 1)]
+    assert lane.normals(n).tobytes() == one.normals(n).tobytes()
+    assert lane.sample_without_replacement(50, 7).tobytes() == (
+        one.sample_without_replacement(50, 7).tobytes())
+    assert lane.next_u64().tolist() == [one.next_u64()]
+
+
 # ----------------------------------------------------------------------
 # jumped block draws: long blocks on narrow lanes jump ahead by _P
 
@@ -265,9 +346,8 @@ def test_characteristic_polynomial_rederived_by_berlekamp_massey():
 
 
 jump_lanes = st.one_of(st.none(), st.integers(1, 12), st.integers(13, 600))
-# around the lane and the one-stream thresholds, and up to 3000 rows
+# around the jump threshold, and up to 3000 rows
 jump_rows = st.one_of(st.integers(rng._JUMP_MIN - 3, rng._JUMP_MIN + 3),
-                      st.integers(2 * rng._JUMP_MIN - 3, 2 * rng._JUMP_MIN + 3),
                       st.integers(0, 3000))
 
 
