@@ -21,6 +21,21 @@ reduction over all T * B rows, not T rank-B updates (Appleyard, Kočiský
 (in the spirit of Gruslys et al., arXiv:1606.03401, but with no
 recomputation).  A batch allocates no buffer that grows with T.
 
+The products that do not depend on the recurrence run on one helper
+thread (`_Helper`), which `train` starts once and joins before it
+returns (a lone `loss_and_grads` or `lstm_forward` call starts its own);
+BLAS releases the GIL, so they take the second core.  While the calling
+thread steps the recurrence, the helper projects the inputs of every
+time chunk after the first, `_CHUNK` steps at a time; after BPTT it
+computes a column block of dWh while the caller computes the rest of
+dWh, dWx and db.  A product the helper has not started by the time the
+caller needs it, the caller runs itself (`_Task`), so a busy second
+core delays a batch by at most the product in flight.  Every product is
+the same BLAS call as on one thread, or a column block that OpenBLAS
+runs with the same kernels, so the bytes do not change.  The time loop
+stays on one thread: two threads stepping half a batch each contend for
+the GIL at every step.
+
 Training and rollout share one cell, `_step`, on gate-major weights
 (`_gate_major`).  The rollout runs each sliding window from the zero
 state, as training does, but not one window at a time: the first window
@@ -41,8 +56,12 @@ de-normalized on the way out.
 
 from __future__ import annotations
 
+import contextvars
 import math
-from dataclasses import dataclass, field
+import threading
+from dataclasses import dataclass
+from collections import deque
+from functools import partial
 
 import numpy as np
 
@@ -56,6 +75,9 @@ _MODEL = matio.Record(b"LSTM", "<HIIIId", 1, lambda s, H, D, out, dropout: [
                                  (H, D), (D,), (D, out), (out,))])
 
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+
+#: time steps per chunk of a batch's input projection
+_CHUNK = 10
 
 
 @dataclass(frozen=True)
@@ -205,10 +227,82 @@ def _step(z: np.ndarray, c: np.ndarray, c_next: np.ndarray, tc: np.ndarray,
     np.multiply(o, tc, out=h_next)
 
 
+class _Task:
+    """One product that either thread may run: whichever takes `lock`
+    first runs it, so the caller never waits for a task the helper has
+    not started.  An exception it raises is kept for `finish`."""
+
+    def __init__(self, fn):
+        self.fn, self.lock, self.done, self.error = fn, threading.Lock(), False, None
+
+    def run(self, blocking: bool) -> None:
+        if not self.lock.acquire(blocking):
+            return  # the other thread is running it
+        try:
+            if not self.done:
+                try:
+                    self.fn()
+                except BaseException as exc:  # re-raised by `finish`
+                    self.error = exc
+                self.done = True
+        finally:
+            self.lock.release()
+
+    def finish(self) -> None:
+        """Run the task here unless it has run or is running, then raise
+        what it raised."""
+        self.run(blocking=True)
+        if self.error is not None:
+            raise self.error
+
+
+class _Helper:
+    """One helper thread beside the calling thread, for the length of a
+    `with` block: `submit` queues tasks, which it runs in order, and
+    `_Task.finish` collects each.  The thread runs in a copy of the
+    caller's context, so numpy's error state holds on it too."""
+
+    def __init__(self):
+        self._queue, self._ready = deque(), threading.Semaphore(0)
+        self._thread = threading.Thread(target=contextvars.copy_context().run,
+                                        args=(self._run,))
+
+    def __enter__(self) -> _Helper:
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._queue.append(None)
+        self._ready.release()
+        self._thread.join()
+
+    def _run(self) -> None:
+        while True:
+            self._ready.acquire()
+            task = self._queue.popleft()
+            if task is None:
+                return
+            task.run(blocking=False)
+
+    def submit(self, fns: list) -> list[_Task]:
+        tasks = [_Task(fn) for fn in fns]
+        for task in tasks:
+            self._queue.append(task)
+            self._ready.release()
+        return tasks
+
+
 def _gate_major(W: np.ndarray) -> np.ndarray:
     """(n, 4H) weights as (4, n, H): one (n, H) block per gate."""
     n, H = W.shape[0], W.shape[1] // 4
     return np.ascontiguousarray(W.reshape(n, 4, H).transpose(1, 0, 2))
+
+
+def _project(x: np.ndarray, Wx: np.ndarray, b: np.ndarray, z: np.ndarray) -> None:
+    """Input projection of steps x (t, B, s) into their gate
+    pre-activations z (t, 4, B, H): z = x @ Wx + b, per step and gate."""
+    np.matmul(x[:, None], Wx, out=z)
+    z += b
 
 
 class Workspace:
@@ -287,11 +381,18 @@ def init_model(input_dim: int, cfg: TrainConfig,
 
 def _forward_batch(model: LstmModel, xb: np.ndarray, training: bool,
                    rng: np.random.Generator | None,
-                   workspace: Workspace | None = None) -> tuple[np.ndarray, dict]:
+                   workspace: Workspace | None = None,
+                   helper: _Helper | None = None) -> tuple[np.ndarray, dict]:
     """xb: normalized (B, T, s) batch; returns normalized outputs (B, s)
     and the cache needed for backpropagation, which holds views of the
     workspace (a fresh one when none is given).  Step t reads cs[t],
-    hs[t] and writes t + 1."""
+    hs[t] and writes t + 1.  This thread projects the first `_CHUNK`
+    steps and `helper`'s thread (a new one when none is given) the later
+    chunks, in order; the loop collects a chunk when it reaches the
+    chunk's first step."""
+    if helper is None:
+        with _Helper() as helper:
+            return _forward_batch(model, xb, training, rng, workspace, helper)
     B, T, s = xb.shape
     H = model.hidden_dim
     p = model.params
@@ -299,12 +400,16 @@ def _forward_batch(model: LstmModel, xb: np.ndarray, training: bool,
         workspace = Workspace(B, T, s, H)
     x, z, cs, hs, tcs = workspace.views(B, T, s, H)
     x[...] = xb.transpose(1, 0, 2)
-    np.matmul(x[:, None], _gate_major(p["Wx"]), out=z)
-    z += p["b"].reshape(4, 1, H)
+    Wx, b = _gate_major(p["Wx"]), p["b"].reshape(4, 1, H)
     cs[0] = 0.0
     hs[0] = 0.0
     Wh, zh = _gate_major(p["Wh"]), np.empty((4, B, H))
+    chunks = helper.submit([partial(_project, x[t:t + _CHUNK], Wx, b, z[t:t + _CHUNK])
+                            for t in range(_CHUNK, T, _CHUNK)])
+    _project(x[:_CHUNK], Wx, b, z[:_CHUNK])
     for t in range(T):
+        if t % _CHUNK == 0 and t:
+            chunks[t // _CHUNK - 1].finish()  # steps t..t + _CHUNK - 1 are projected
         if t:  # the state starts at zero: step 0 has no recurrent term
             z[t] += np.matmul(hs[t], Wh, out=zh)
         _step(z[t], cs[t], cs[t + 1], tcs[t], hs[t + 1])
@@ -321,14 +426,16 @@ def _forward_batch(model: LstmModel, xb: np.ndarray, training: bool,
     return out, cache
 
 
-def _backward_batch(model: LstmModel, cache: dict,
-                    dout: np.ndarray) -> dict[str, np.ndarray]:
+def _backward_batch(model: LstmModel, cache: dict, dout: np.ndarray,
+                    helper: _Helper) -> dict[str, np.ndarray]:
     """Gradients of the loss wrt every parameter, given dL/d(output).
     This spends the forward cache: BPTT forms the gate gradients of step
     t in one (B, 4H) scratch block, which feeds the dh product, and then
     copies them over the gates z[t], which nothing reads again.  The
     weight gradients of the recurrent layer are then one GEMM or one
-    reduction each over all T * B rows of z, read as dz (T, B, 4H)."""
+    reduction each over all T * B rows of z, read as dz (T, B, 4H);
+    `helper`'s thread computes a column block of dWh, or all of it,
+    while this thread computes the rest, dWx and db."""
     p = model.params
     x, z, cs, hs, tcs = (cache[k] for k in ("x", "gates", "cs", "hs", "tcs"))
     T, B, s = x.shape
@@ -375,9 +482,20 @@ def _backward_batch(model: LstmModel, cache: dict,
     dz = z.reshape(T, B, 4 * H)
     rows = dz.reshape(T * B, 4 * H)
     # hs[0] is the zero state, so step 0 adds nothing to dWh
-    grads["Wh"] = hs[1:T].reshape((T - 1) * B, H).T @ dz[1:].reshape((T - 1) * B, 4 * H)
+    hsT, dzh = hs[1:T].reshape((T - 1) * B, H).T, dz[1:].reshape((T - 1) * B, 4 * H)
+    grads["Wh"] = dWh = np.empty((H, 4 * H))
+    # The helper takes dWh's columns from `split` on; this thread takes the
+    # first quarter or less, as it also forms dWx and db.  On OpenBLAS
+    # 0.3.31 (AVX-512 kernels, one or two threads) a column block has the
+    # bytes of the whole product when it starts at a multiple of 64 columns
+    # and 4H is a multiple of 8; at odd H the last four columns can round
+    # differently (H = 129 on two threads), so the helper takes all of dWh.
+    split = 64 * (H // 64) if H % 2 == 0 else 0
+    [right] = helper.submit([partial(np.matmul, hsT, dzh[:, split:], out=dWh[:, split:])])
+    np.matmul(hsT, dzh[:, :split], out=dWh[:, :split])
     grads["Wx"] = x.reshape(T * B, s).T @ rows
     grads["b"] = rows.sum(axis=0)
+    right.finish()
     return grads
 
 
@@ -396,17 +514,22 @@ def lstm_forward(model: LstmModel, sequence: np.ndarray) -> tuple[np.ndarray, di
 def loss_and_grads(model: LstmModel, xb: np.ndarray, yb: np.ndarray,
                    training: bool = True,
                    rng: np.random.Generator | None = None,
-                   workspace: Workspace | None = None
+                   workspace: Workspace | None = None,
+                   helper: _Helper | None = None
                    ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean-squared error over a normalized batch plus its gradients.
     The batch runs on `workspace` when given (see `Workspace`), else on a
     fresh one; the workspace is overwritten, and the result does not
-    depend on what it held."""
-    out, cache = _forward_batch(model, xb, training, rng, workspace)
+    depend on what it held.  Likewise its products run on `helper`'s
+    thread, else on a thread that lives for this call only."""
+    if helper is None:
+        with _Helper() as helper:
+            return loss_and_grads(model, xb, yb, training, rng, workspace, helper)
+    out, cache = _forward_batch(model, xb, training, rng, workspace, helper)
     diff = out - yb
     loss = float(np.mean(diff ** 2))
     dout = 2.0 * diff / diff.size
-    return loss, _backward_batch(model, cache, dout)
+    return loss, _backward_batch(model, cache, dout, helper)
 
 
 def _clip_gradients(grads: dict[str, np.ndarray], clip_norm: float) -> None:
@@ -483,21 +606,22 @@ def train(ts: TimeSeries, cfg: TrainConfig) -> tuple[LstmModel, list[float]]:
     workspace = Workspace(min(cfg.batch_size, n_train), cfg.window, s, cfg.hidden_dim)
     history: list[float] = []
     scale2 = float(np.mean(model.norm_std ** 2))
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n_train)
-        sq_sum = 0.0
-        count = 0
-        for start in range(0, n_train, cfg.batch_size):
-            sel = order[start:start + cfg.batch_size]
-            loss, grads = loss_and_grads(model, inputs[sel], targets[sel],
-                                         training=True, rng=rng, workspace=workspace)
-            if not np.isfinite(loss):
-                raise TrainingDivergenceError(epoch)
-            sq_sum += loss * sel.size
-            count += sel.size
-            _clip_gradients(grads, cfg.clip_norm)
-            adam.step(model.params, grads, cfg)
-        history.append(float(np.sqrt(sq_sum / count * scale2)))
+    with _Helper() as helper:
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(n_train)
+            sq_sum = 0.0
+            count = 0
+            for start in range(0, n_train, cfg.batch_size):
+                sel = order[start:start + cfg.batch_size]
+                loss, grads = loss_and_grads(model, inputs[sel], targets[sel], training=True,
+                                             rng=rng, workspace=workspace, helper=helper)
+                if not np.isfinite(loss):
+                    raise TrainingDivergenceError(epoch)
+                sq_sum += loss * sel.size
+                count += sel.size
+                _clip_gradients(grads, cfg.clip_norm)
+                adam.step(model.params, grads, cfg)
+            history.append(float(np.sqrt(sq_sum / count * scale2)))
     return model, history
 
 

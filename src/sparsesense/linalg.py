@@ -89,16 +89,25 @@ def soft_threshold(x, tau: float, out: np.ndarray | None = None):
     return float(out) if out.ndim == 0 else out
 
 
+#: the sign columns drawn so far, per row count n: read-only (n, c) arrays
+_SIGNS: dict[int, np.ndarray] = {}
+
+
 def _sign_columns(n: int, first: int, stop: int) -> np.ndarray:
     """Columns first..stop-1 of a fixed n-row matrix of random signs.
     Column j is the bits of lane j of TOPK_SEED's substreams, so it does
-    not depend on how many columns are asked for."""
+    not depend on how many columns are asked for, and the columns drawn
+    once serve every later call: `_SIGNS` grows by the missing ones."""
     if stop <= first:
         return np.empty((n, 0))  # a warm start often fills the block
-    words = substream(TOPK_SEED, np.arange(first, stop)).next_u64s(-(-n // 64))
-    bits = np.unpackbits(np.ascontiguousarray(words.T, dtype="<u8").view(np.uint8),
-                         axis=1, bitorder="little")
-    return np.ascontiguousarray(1.0 - 2.0 * bits[:, :n].T)
+    signs = _SIGNS.get(n, np.empty((n, 0)))
+    if stop > signs.shape[1]:
+        words = substream(TOPK_SEED, np.arange(signs.shape[1], stop)).next_u64s(-(-n // 64))
+        bits = np.unpackbits(np.ascontiguousarray(words.T, dtype="<u8").view(np.uint8),
+                             axis=1, bitorder="little")
+        signs = _SIGNS[n] = np.hstack([signs, 1.0 - 2.0 * bits[:, :n].T])
+        signs.flags.writeable = False
+    return np.ascontiguousarray(signs[:, first:stop])
 
 
 def svd_topk(A, k: int, tau: float | None = None, start: np.ndarray | None = None,

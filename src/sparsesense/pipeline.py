@@ -73,12 +73,14 @@ def _sample_times(cfg: RunConfig) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(gaps)])
 
 
-def cmd_synth(cfg: RunConfig, out: Path) -> dict:
+def cmd_synth(cfg: RunConfig, out: Path, times: np.ndarray | None = None) -> dict:
+    """times: `_sample_times(cfg)`, when the caller has drawn it already."""
     t0 = time.perf_counter()
     gt_spec, sc_spec = cfg.ground_truth, cfg.scenario
     truth = synth.generate_ground_truth(gt_spec)
     perturbed, mask = synth.apply_scenario(truth, sc_spec)
-    times = _sample_times(cfg)
+    if times is None:
+        times = _sample_times(cfg)
     matio.write_matrix(truth, out / TRUTH_FILE)
     matio.write_matrix(perturbed, out / PERTURBED_FILE)
     matio.write_matrix(mask.astype(np.float64), out / MASK_FILE)
@@ -246,7 +248,10 @@ def run_all(cfg: RunConfig, out: Path) -> dict[str, dict]:
                               f"{cfg.train.window + 1} training samples, the "
                               f"training series has {length}")
     out.mkdir(parents=True, exist_ok=True)
-    return {stage: STAGE_FUNCS[stage](cfg, out) for stage in _STAGES}
+    reports = {"synth": STAGE_FUNCS["synth"](cfg, out, times)}
+    for stage in _STAGES[1:]:
+        reports[stage] = STAGE_FUNCS[stage](cfg, out)
+    return reports
 
 
 def combined_manifest(reports: dict[str, dict]) -> dict[str, str]:

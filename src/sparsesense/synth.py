@@ -101,14 +101,16 @@ def generate_ground_truth(spec: GroundTruthSpec) -> np.ndarray:
     t = np.arange(n, dtype=np.float64) / max(n, 2)
     X = np.zeros((m, n))
     term = np.empty((m, n))              # one rank-1 term at a time
-    for k in range(rank):
-        center = rng.uniform(0.1 * m, 0.9 * m)
-        width = spec.smoothness * m * (0.5 + rng.random())
+    # one block of uniforms: per term its center, width, freq, phase and drift
+    for k, (r_center, r_width, r_freq, r_phase, r_drift) in enumerate(
+            rng.random(5 * rank).reshape(rank, 5)):
+        center = 0.1 * m + (0.9 * m - 0.1 * m) * r_center  # `uniform`'s arithmetic
+        width = spec.smoothness * m * (0.5 + r_width)
         u = np.exp(-((rows - center) ** 2) / (2.0 * width * width))
         # distinct integer-offset frequencies keep the factors well separated
-        freq = k + 1 + rng.random()
-        phase = rng.uniform(0.0, 2.0 * math.pi)
-        drift = rng.uniform(-0.5, 0.5)
+        freq = k + 1 + r_freq
+        phase = 2.0 * math.pi * r_phase
+        drift = r_drift - 0.5
         amp = spec.amplitude / (1.0 + 0.5 * k)
         w = amp * (np.sin(2.0 * math.pi * freq * t + phase) + drift * t)
         np.multiply(u[:, None], w, out=term)

@@ -1,6 +1,8 @@
 import math
+import threading
 import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -336,6 +338,148 @@ def test_training_batch_working_set_is_the_five_workspace_buffers():
     # tanh(c), plus 1 MB for the returned gradients and per-batch scratch
     buffers = 8 * (T * B * s + T * 4 * B * H + 2 * (T + 1) * B * H + T * B * H)
     assert peak < buffers + 10**6, (peak, buffers)
+
+
+def serial_loss_and_grads(model, xb, yb, rng):
+    """The training batch as it ran before its products moved to a helper
+    thread: one input projection before the time loop and the three
+    weight-gradient products after BPTT, all on the calling thread.  The
+    oracle for byte identity."""
+    B, T, s = xb.shape
+    H, p = model.hidden_dim, model.params
+    x, z, cs, hs, tcs = Workspace(B, T, s, H).views(B, T, s, H)
+    x[...] = xb.transpose(1, 0, 2)
+    np.matmul(x[:, None], forecast._gate_major(p["Wx"]), out=z)
+    z += p["b"].reshape(4, 1, H)
+    cs[0] = 0.0
+    hs[0] = 0.0
+    Wh, zh = forecast._gate_major(p["Wh"]), np.empty((4, B, H))
+    for t in range(T):
+        if t:
+            z[t] += np.matmul(hs[t], Wh, out=zh)
+        forecast._step(z[t], cs[t], cs[t + 1], tcs[t], hs[t + 1])
+    hd, mask = hs[T], None
+    if model.dropout_rate > 0.0:
+        keep = 1.0 - model.dropout_rate
+        mask = (rng.random((B, H)) < keep) / keep
+        hd = hd * mask
+    pre_dense, dense, out = forecast._head(p, hd)
+    diff = out - yb
+    dout = 2.0 * diff / diff.size
+    grads = {"bo": dout.sum(axis=0), "Wo": dense.T @ dout}
+    ddense = np.where(pre_dense > 0, dout @ p["Wo"].T, 0.0)
+    grads["bd"], grads["Wd"] = ddense.sum(axis=0), hd.T @ ddense
+    dh = ddense @ p["Wd"].T
+    if mask is not None:
+        dh *= mask
+    dc = np.zeros((B, H))
+    tmp, tmp2, dzt = np.empty((B, H)), np.empty((B, H)), np.empty((B, 4 * H))
+    dzi, dzf, dzg, dzo = dzt[:, :H], dzt[:, H:2 * H], dzt[:, 2 * H:3 * H], dzt[:, 3 * H:]
+    for t in range(T - 1, -1, -1):
+        i, f, g, o = z[t]
+        tc = tcs[t]
+        np.multiply(dh, tc, out=tmp)
+        tmp *= o
+        np.multiply(tmp, np.subtract(1.0, o, out=tmp2), out=dzo)
+        np.multiply(dh, o, out=tmp)
+        tmp *= np.subtract(1.0, np.multiply(tc, tc, out=tmp2), out=tmp2)
+        dc += tmp
+        np.multiply(dc, g, out=tmp)
+        tmp *= i
+        np.multiply(tmp, np.subtract(1.0, i, out=tmp2), out=dzi)
+        np.multiply(dc, cs[t], out=tmp)
+        tmp *= f
+        np.multiply(tmp, np.subtract(1.0, f, out=tmp2), out=dzf)
+        np.multiply(dc, i, out=tmp)
+        np.multiply(tmp, np.subtract(1.0, np.multiply(g, g, out=tmp2), out=tmp2), out=dzg)
+        if t:
+            np.matmul(dzt, p["Wh"].T, out=dh)
+            dc *= f
+        z[t].reshape(B, 4 * H)[...] = dzt
+    dz = z.reshape(T, B, 4 * H)
+    rows = dz.reshape(T * B, 4 * H)
+    grads["Wh"] = hs[1:T].reshape((T - 1) * B, H).T @ dz[1:].reshape((T - 1) * B, 4 * H)
+    grads["Wx"] = x.reshape(T * B, s).T @ rows
+    grads["b"] = rows.sum(axis=0)
+    return float(np.mean(diff ** 2)), grads
+
+
+@settings(max_examples=30, deadline=None)
+@given(B=st.integers(1, 40), T=st.integers(1, 60), s=st.integers(1, 40),
+       H=st.integers(1, 160), dropout=st.sampled_from([0.0, 0.2]),
+       seed=st.integers(0, 2**32 - 1))
+@example(B=32, T=50, s=16, H=128, dropout=0.2, seed=0)   # the shipped batch
+@example(B=3, T=21, s=400, H=6, dropout=0.0, seed=1)     # s >> H
+@example(B=40, T=11, s=5, H=31, dropout=0.0, seed=2)     # 4H just below 128
+@example(B=40, T=10, s=5, H=32, dropout=0.0, seed=3)     # one chunk, 4H = 128
+@example(B=2, T=60, s=7, H=160, dropout=0.2, seed=4)
+@example(B=4, T=51, s=5, H=129, dropout=0.0, seed=0)     # odd H: no column split
+def test_overlapped_batch_equals_the_serial_batch_bit_for_bit(B, T, s, H, dropout, seed):
+    model = random_model(s, H, 5, seed)
+    model.dropout_rate = dropout
+    data = np.random.default_rng(seed + 1)
+    xb, yb = data.standard_normal((B, T, s)), data.standard_normal((B, s))
+    loss, grads = loss_and_grads(model, xb, yb, rng=np.random.default_rng(seed))
+    want_loss, want = serial_loss_and_grads(model, xb, yb, np.random.default_rng(seed))
+    assert loss == want_loss
+    for k, g in want.items():
+        np.testing.assert_array_equal(grads[k], g, err_msg=k)
+
+
+def test_no_helper_thread_outlives_train():
+    before = threading.active_count()
+    t = np.arange(120) * 0.5
+    train(TimeSeries(t, np.sin(t)[:, None]), small_cfg(window=25, epochs=2))
+    assert threading.active_count() == before
+    lstm_forward(random_model(2, 8, 3, seed=0), np.zeros((30, 2)))
+    assert threading.active_count() == before
+    with pytest.raises(TrainingDivergenceError), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        train(TimeSeries(t, np.sin(t)[:, None]),
+              small_cfg(window=25, epochs=50, learning_rate=1e200, clip_norm=0.0))
+    assert threading.active_count() == before
+
+
+def test_an_exception_on_the_helper_reaches_the_caller(monkeypatch):
+    project, failed = forecast._project, threading.Event()
+
+    def project_or_fail(*args):
+        if threading.current_thread() is threading.main_thread():
+            assert failed.wait(timeout=60)  # the helper has taken the second chunk
+            project(*args)
+        else:
+            failed.set()
+            raise FloatingPointError("helper failed")
+
+    monkeypatch.setattr(forecast, "_project", project_or_fail)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="helper failed"):
+        loss_and_grads(random_model(2, 8, 3, seed=0), np.zeros((4, 25, 2)), np.zeros((4, 2)),
+                       training=False)
+    assert threading.active_count() == before
+
+
+def test_each_task_runs_once_on_whichever_thread_takes_it_first():
+    before = threading.active_count()
+    runs = []
+    with forecast._Helper() as helper:
+        tasks = helper.submit([partial(runs.append, k) for k in range(200)])
+        for task in tasks[::-1]:  # the caller runs what the helper has not reached
+            task.finish()
+        assert sorted(runs) == list(range(200))
+
+    def fail():
+        raise KeyError("late")
+
+    with forecast._Helper() as helper:
+        [task] = helper.submit([fail])
+        with pytest.raises(KeyError, match="late"):
+            task.finish()
+    # the caller's own exception leaves the block, and the helper is joined
+    with pytest.raises(ValueError), forecast._Helper() as helper:
+        helper.submit([fail, fail])
+        raise ValueError("caller")
+    assert threading.active_count() == before
 
 
 def saturated_model():

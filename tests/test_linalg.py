@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sparsesense import linalg
 from sparsesense.errors import BoundsError, DegenerateInputError, ValidationError
 from sparsesense.linalg import (
     TOPK_MARGIN,
@@ -445,3 +446,18 @@ def test_sign_columns_golden_bytes(n, first, stop, want):
     cols = _sign_columns(n, first, stop)
     assert hashlib.sha256(cols.tobytes()).hexdigest() == want
     np.testing.assert_array_equal(cols[:, 1:], _sign_columns(n, first + 1, stop))
+
+
+def test_sign_columns_come_from_a_read_only_cache_grown_by_column(monkeypatch):
+    monkeypatch.setattr(linalg, "_SIGNS", {})
+    few = _sign_columns(130, 2, 5)
+    assert linalg._SIGNS[130].shape == (130, 5)
+    many = _sign_columns(130, 0, 12)
+    assert linalg._SIGNS[130].shape == (130, 12)
+    assert not linalg._SIGNS[130].flags.writeable
+    np.testing.assert_array_equal(many[:, 2:5], few)
+    # a hit draws nothing, and hands out a writable contiguous copy
+    monkeypatch.setattr(linalg, "substream", None)
+    again = _sign_columns(130, 3, 9)
+    assert again.flags.writeable and again.flags.c_contiguous
+    np.testing.assert_array_equal(again, many[:, 3:9])

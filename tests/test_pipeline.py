@@ -204,6 +204,15 @@ def test_sample_times_golden_bytes(seed):
         assert hashlib.sha256(times.tobytes()).hexdigest() == want, n
 
 
+def test_run_all_draws_the_timestamps_once(tmp_path, monkeypatch):
+    sample, calls = pipeline._sample_times, []
+    monkeypatch.setattr(pipeline, "_sample_times", lambda cfg: calls.append(cfg) or sample(cfg))
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(SMALL_CFG + "synth.time_jitter = 0.3\n")
+    pipeline.run_all(parse_config(cfg_path), tmp_path / "out")
+    assert len(calls) == 1
+
+
 # command-line interface
 
 
@@ -213,6 +222,18 @@ def test_cli_full_run_exit_zero(tmp_path):
     assert cli.main(["run", "--config", str(cfg_path),
                      "--out", str(tmp_path / "out")]) == 0
     assert (tmp_path / "out" / pipeline.RMSE_FILE).exists()
+
+
+def test_cli_import_loads_neither_concurrent_futures_nor_logging():
+    # a guard on set-up time: after numpy, importing concurrent.futures (which
+    # pulls in logging) takes 10-12 ms, logging alone about 7 ms
+    src = Path(pipeline.__file__).resolve().parents[1]
+    child = subprocess.run(
+        [sys.executable, "-c", "import sys, sparsesense.cli; "
+         "print(sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules))"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "[]"
 
 
 def test_cli_unknown_config_key_exit_2(tmp_path, capsys):

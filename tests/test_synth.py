@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sparsesense.errors import BoundsError, ValidationError
+from sparsesense.rng import Xoshiro256pp
 from sparsesense.synth import (
     GroundTruthSpec,
     Scenario,
@@ -119,6 +120,14 @@ def test_ground_truth_golden_bytes():
     X = generate_ground_truth(GroundTruthSpec(m=64, n=48, rank=10, seed=0))
     assert hashlib.sha256(X.tobytes()).hexdigest() == (
         "fa653b0c9409fdf443cac636b23ece07117f9b4cea897655996aae3a05e36fc1")
+
+def test_ground_truth_draws_its_scalars_as_one_block(monkeypatch):
+    fill, calls = Xoshiro256pp._fill, []
+    monkeypatch.setattr(Xoshiro256pp, "_fill", lambda self, out: calls.append(out.shape)
+                        or fill(self, out))
+    generate_ground_truth(GroundTruthSpec(m=64, n=48, rank=10, seed=0))
+    assert calls == [(50, 1)]
+
 
 # ----------------------------------------------------------------------
 # golden bytes: sha256 of apply_scenario's outputs, recorded from the
