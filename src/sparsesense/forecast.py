@@ -23,14 +23,16 @@ recomputation).  A batch allocates no buffer that grows with T.
 
 The products that do not depend on the recurrence run on one helper
 thread (`_Helper`), which `train` starts once and joins before it
-returns (a lone `loss_and_grads` or `lstm_forward` call starts its own);
-BLAS releases the GIL, so they take the second core.  While the calling
-thread steps the recurrence, the helper projects the inputs of every
-time chunk after the first, `_CHUNK` steps at a time; after BPTT it
-computes a column block of dWh while the caller computes the rest of
-dWh, dWx and db.  A product the helper has not started by the time the
-caller needs it, the caller runs itself (`_Task`), so a busy second
-core delays a batch by at most the product in flight.  Every product is
+returns, when the process may run on more than one CPU; BLAS releases
+the GIL, so they take the second core.  A lone `loss_and_grads` or
+`lstm_forward` call, and `train` on one CPU, run every product on the
+calling thread (`_Inline`).  While the calling thread steps the
+recurrence, the helper projects the inputs of every time chunk after
+the first, `_CHUNK` steps at a time; after BPTT it computes a column
+block of dWh while the caller computes the rest of dWh, dWx and db.
+A product the helper has not started by the time the caller needs it,
+the caller runs itself (`_Task`), so a busy second core delays a batch
+by at most the product in flight.  Every product is
 the same BLAS call as on one thread, or a column block that OpenBLAS
 runs with the same kernels, so the bytes do not change.  The time loop
 stays on one thread: two threads stepping half a batch each contend for
@@ -58,6 +60,7 @@ from __future__ import annotations
 
 import contextvars
 import math
+import os
 import threading
 from dataclasses import dataclass
 from collections import deque
@@ -256,7 +259,21 @@ class _Task:
             raise self.error
 
 
-class _Helper:
+class _Inline:
+    """`_Helper` without the thread, for a lone pass or a host with one
+    CPU: `submit` only wraps its tasks, and `_Task.finish` runs each."""
+
+    def __enter__(self) -> _Inline:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        pass
+
+    def submit(self, fns: list) -> list[_Task]:
+        return [_Task(fn) for fn in fns]
+
+
+class _Helper(_Inline):
     """One helper thread beside the calling thread, for the length of a
     `with` block: `submit` queues tasks, which it runs in order, and
     `_Task.finish` collects each.  The thread runs in a copy of the
@@ -285,11 +302,22 @@ class _Helper:
             task.run(blocking=False)
 
     def submit(self, fns: list) -> list[_Task]:
-        tasks = [_Task(fn) for fn in fns]
+        tasks = super().submit(fns)
         for task in tasks:
             self._queue.append(task)
             self._ready.release()
         return tasks
+
+
+_INLINE = _Inline()
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
 
 
 def _gate_major(W: np.ndarray) -> np.ndarray:
@@ -382,17 +410,14 @@ def init_model(input_dim: int, cfg: TrainConfig,
 def _forward_batch(model: LstmModel, xb: np.ndarray, training: bool,
                    rng: np.random.Generator | None,
                    workspace: Workspace | None = None,
-                   helper: _Helper | None = None) -> tuple[np.ndarray, dict]:
+                   helper: _Inline = _INLINE) -> tuple[np.ndarray, dict]:
     """xb: normalized (B, T, s) batch; returns normalized outputs (B, s)
     and the cache needed for backpropagation, which holds views of the
     workspace (a fresh one when none is given).  Step t reads cs[t],
     hs[t] and writes t + 1.  This thread projects the first `_CHUNK`
-    steps and `helper`'s thread (a new one when none is given) the later
-    chunks, in order; the loop collects a chunk when it reaches the
-    chunk's first step."""
-    if helper is None:
-        with _Helper() as helper:
-            return _forward_batch(model, xb, training, rng, workspace, helper)
+    steps and `helper`'s thread, if it has one, the later chunks, in
+    order; the loop collects a chunk when it reaches the chunk's first
+    step."""
     B, T, s = xb.shape
     H = model.hidden_dim
     p = model.params
@@ -427,7 +452,7 @@ def _forward_batch(model: LstmModel, xb: np.ndarray, training: bool,
 
 
 def _backward_batch(model: LstmModel, cache: dict, dout: np.ndarray,
-                    helper: _Helper) -> dict[str, np.ndarray]:
+                    helper: _Inline) -> dict[str, np.ndarray]:
     """Gradients of the loss wrt every parameter, given dL/d(output).
     This spends the forward cache: BPTT forms the gate gradients of step
     t in one (B, 4H) scratch block, which feeds the dh product, and then
@@ -515,16 +540,13 @@ def loss_and_grads(model: LstmModel, xb: np.ndarray, yb: np.ndarray,
                    training: bool = True,
                    rng: np.random.Generator | None = None,
                    workspace: Workspace | None = None,
-                   helper: _Helper | None = None
+                   helper: _Inline = _INLINE
                    ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean-squared error over a normalized batch plus its gradients.
     The batch runs on `workspace` when given (see `Workspace`), else on a
     fresh one; the workspace is overwritten, and the result does not
     depend on what it held.  Likewise its products run on `helper`'s
-    thread, else on a thread that lives for this call only."""
-    if helper is None:
-        with _Helper() as helper:
-            return loss_and_grads(model, xb, yb, training, rng, workspace, helper)
+    thread when given a `_Helper`, else on this one."""
     out, cache = _forward_batch(model, xb, training, rng, workspace, helper)
     diff = out - yb
     loss = float(np.mean(diff ** 2))
@@ -606,7 +628,8 @@ def train(ts: TimeSeries, cfg: TrainConfig) -> tuple[LstmModel, list[float]]:
     workspace = Workspace(min(cfg.batch_size, n_train), cfg.window, s, cfg.hidden_dim)
     history: list[float] = []
     scale2 = float(np.mean(model.norm_std ** 2))
-    with _Helper() as helper:
+    # with one CPU a helper thread would only add switches and GIL handoffs
+    with (_Helper() if _cpus() > 1 else _Inline()) as helper:
         for epoch in range(cfg.epochs):
             order = rng.permutation(n_train)
             sq_sum = 0.0

@@ -20,7 +20,9 @@ modulo the transition's characteristic polynomial.  The block's first
 256 rows are drawn as usual, recording those states; the rest splits
 into segments whose start states are formed that way, and all segments
 of all lanes step together at full numpy width.  The output bits are
-those of stepping one row at a time.
+those of stepping one row at a time.  x**d for the first segment and
+x**seg, the step between segments, come by square and multiply, and each
+later segment's polynomial is one product mod the polynomial.
 
 Box-Muller takes cos and sin of its angles from numpy, which links them
 from the same libm as `math` (numpy 2.4.6 on AVX-512 matched it bit for
@@ -60,6 +62,10 @@ _JUMP_MIN = 2 * _DEG
 #: sqrt(-2 log u) at the smallest (0, 1] uniform, 2**-53
 NORMAL_BOUND = math.sqrt(-2.0 * math.log(_TWO_M53))
 
+#: xoshiro256++'s shift counts as 0-d uint64 arrays: numpy converts a
+#: Python-int operand again on every call
+_U17, _U19, _U23, _U41, _U45 = (np.array(c, dtype=np.uint64) for c in (17, 19, 23, 41, 45))
+
 
 def splitmix64_next(state):
     """Advance a splitmix64 state; returns (new_state, output).  Works on
@@ -84,26 +90,56 @@ def _unit_open(u):
 def _xoshiro_rows(s: np.ndarray, out: np.ndarray, record: np.ndarray | None = None) -> None:
     """Fill out, a (k,) + lanes uint64 block, with the next k outputs of
     every lane, advancing the lane states s, a (4,) + lanes array, in
-    place.  With a record, record[i] gets the states before row i."""
+    place.  With a record, record[i] gets the states before row i.
+
+    A row is twelve ufunc calls, each with its output given: the shift
+    counts are uint64 constants, and the four independent xors are two
+    calls on pairs of state rows."""
     s0, s1, s2, s3 = s
+    s01, s23, s32 = s[0:2], s[2:4], s[3:1:-1]
     t = np.empty_like(s0)
+    add, xor, bor = np.add, np.bitwise_xor, np.bitwise_or
+    lshift, rshift = np.left_shift, np.right_shift
     for i, row in enumerate(out):
         if record is not None:
             record[i] = s
-        np.add(s0, s3, out=t)           # rotl(s0 + s3, 23) + s0
-        np.left_shift(t, 23, out=row)
-        t >>= 41
-        row |= t
-        row += s0
-        np.left_shift(s1, 17, out=t)
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        np.left_shift(s3, 45, out=t)    # s3 = rotl(s3, 45)
-        s3 >>= 19
-        s3 |= t
+        add(s0, s3, out=t)              # rotl(s0 + s3, 23) + s0
+        lshift(t, _U23, out=row)
+        rshift(t, _U41, out=t)
+        bor(row, t, out=row)
+        add(row, s0, out=row)
+        lshift(s1, _U17, out=t)
+        xor(s23, s01, out=s23)          # s2 ^= s0, s3 ^= s1
+        xor(s01, s32, out=s01)          # s0 ^= s3, s1 ^= s2
+        xor(s2, t, out=s2)
+        lshift(s3, _U45, out=t)         # s3 = rotl(s3, 45)
+        rshift(s3, _U19, out=s3)
+        bor(s3, t, out=s3)
+
+
+def _mulmod(a: int, b: int) -> int:
+    """a(x) b(x) mod _P over GF(2), bit i of an int the coefficient of
+    x**i, for a of degree below _DEG: Horner's rule over the bits of b."""
+    r = 0
+    for bit in bin(b)[2:]:
+        r <<= 1
+        if r >> _DEG:
+            r ^= _P
+        if bit == "1":
+            r ^= a
+    return r
+
+
+def _xpow(d: int) -> int:
+    """x**d mod _P, by square and multiply: about 2 log2(d) products."""
+    r = 1
+    for bit in bin(d)[2:]:
+        r = _mulmod(r, r)
+        if bit == "1":
+            r <<= 1
+            if r >> _DEG:
+                r ^= _P
+    return r
 
 
 def _jump_rows(record: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -128,13 +164,10 @@ def _jump_rows(record: np.ndarray, out: np.ndarray) -> np.ndarray:
     # the segments tile rows base..k-1; the few below _DEG are drawn again, alike
     base = k - J * seg
     starts = np.empty((4, J, lanes), dtype=np.uint64)
-    poly, d = 1, 0                      # x**d mod _P, by Galois shifts
+    poly, step = _xpow(base), _xpow(seg)  # x**(base + j seg) mod _P for segment j
     for j in range(J):
-        for _ in range(base + j * seg - d):
-            poly <<= 1
-            if poly >> _DEG:
-                poly ^= _P
-        d = base + j * seg
+        if j:
+            poly = _mulmod(poly, step)
         bits = np.unpackbits(np.frombuffer(poly.to_bytes(_DEG // 8, "little"), np.uint8),
                              bitorder="little").view(bool)
         np.bitwise_xor.reduce(record[bits], axis=0, out=starts[:, j])
@@ -148,6 +181,13 @@ def _jump_rows(record: np.ndarray, out: np.ndarray) -> np.ndarray:
     return starts[:, -1].copy()
 
 
+def _shadowed(s: np.ndarray) -> np.ndarray:
+    """The (4, lanes) state a generator holds: a lone lane gets a shadow
+    copy beside it, as numpy's ufuncs run one-element arrays about 1.5x
+    slower per call than two-element ones, and its draws read column 0."""
+    return np.repeat(s, 2, axis=1) if s.shape[1] == 1 else s
+
+
 class Xoshiro256pp:
     """xoshiro256++ with splitmix64 seeding.
 
@@ -156,12 +196,13 @@ class Xoshiro256pp:
     one stream (lane) per entry and its block draws gain a trailing lane
     axis; lane l equals the stream seeded with seed[l], bit for bit.  Every
     layout keeps its state as a (4, lanes) uint64 array and steps it in
-    numpy uint64 arithmetic, at some 12 us per row for a few hundred lanes
-    and 18 us for one (numpy's in-place ufuncs cost more on one-element
-    arrays; 2-core host, numpy 2.4.6).  A block of at least _JUMP_MIN rows
-    on at most _WIDE // 4 lanes records its first _DEG states and jumps
-    ahead from them, so that the rest of the block steps up to _WIDE lanes
-    wide (`_jump_rows`).
+    numpy uint64 arithmetic, twelve ufunc calls per row (`_xoshiro_rows`):
+    some 6 us per row for two lanes, 6-8 us for a few hundred, and 10 us
+    for one lane alone, so a lone lane is held beside a shadow copy and
+    steps as two (2-core host, numpy 2.4.6).  A block of at least
+    _JUMP_MIN rows on at most _WIDE // 4 lanes records its first _DEG
+    states and jumps ahead from them, so that the rest of the block steps
+    up to _WIDE lanes wide (`_jump_rows`).
     """
 
     def __init__(self, seed):
@@ -172,7 +213,8 @@ class Xoshiro256pp:
         for _ in range(4):
             state, out = splitmix64_next(state)
             s.append(out)
-        self._s = np.stack(s)
+        self._n = state.size
+        self._s = _shadowed(np.stack(s))
 
     def next_u64(self):
         """The next raw output: a uint64 scalar, or an array of one per lane."""
@@ -180,7 +222,7 @@ class Xoshiro256pp:
 
     def next_u64s(self, k: int) -> np.ndarray:
         """The next k raw outputs of every lane, as a (k,) + lanes block."""
-        out = np.empty((k, self._s.shape[1]), dtype=np.uint64)
+        out = np.empty((k, self._n), dtype=np.uint64)
         self._fill(out)
         return out.reshape((k,) + self._lanes)
 
@@ -189,10 +231,16 @@ class Xoshiro256pp:
         of every lane."""
         k, lanes = out.shape
         jump = k >= _JUMP_MIN and _WIDE // lanes >= 4
-        record = np.empty((_DEG, 4, lanes), dtype=np.uint64) if jump else None
-        _xoshiro_rows(self._s, out[:_DEG] if jump else out, record)
+        head = out[:_DEG] if jump else out
+        record = np.empty((_DEG,) + self._s.shape, dtype=np.uint64) if jump else None
+        if self._s.shape[1] == lanes:
+            _xoshiro_rows(self._s, head, record)
+        else:  # a lone lane steps beside its shadow
+            pair = np.empty((len(head), 2), dtype=np.uint64)
+            _xoshiro_rows(self._s, pair, record)
+            head[...] = pair[:, :1]
         if jump:
-            self._s = _jump_rows(record, out)
+            self._s = _shadowed(_jump_rows(record[..., :lanes], out))
 
     # ------------------------------------------------------------------
     # derived draws
@@ -229,12 +277,15 @@ class Xoshiro256pp:
         x = self.next_u64s(1).reshape(-1)
         retry = np.flatnonzero(x >= limit)
         while retry.size:
-            s = self._s[:, retry]
-            redraw = np.empty((1, retry.size), dtype=np.uint64)
+            # when every lane redraws, the whole state steps: a lone lane's shadow too
+            cols = retry if retry.size < x.size else slice(None)
+            s = self._s[:, cols]
+            redraw = np.empty((1, s.shape[1]), dtype=np.uint64)
             _xoshiro_rows(s, redraw)
-            self._s[:, retry] = s
-            x[retry] = redraw[0]
-            retry = retry[redraw[0] >= limit]
+            self._s[:, cols] = s
+            redraw = redraw[0, :retry.size]
+            x[retry] = redraw
+            retry = retry[redraw >= limit]
         return (x % bound).reshape(self._lanes)[()]
 
     def _below_each(self, bounds: np.ndarray) -> np.ndarray:
@@ -263,7 +314,7 @@ class Xoshiro256pp:
         the log of its radii is `math.log` per element, the one
         transcendental whose numpy form changes bytes (see the module
         docstring)."""
-        rows, lanes = 2 * -(-n // 2), self._s.shape[1]
+        rows, lanes = 2 * -(-n // 2), self._n
         out = np.empty((rows,) + self._lanes)
         raw = out.view(np.uint64)
         self._fill(raw.reshape(rows, lanes))
@@ -287,14 +338,26 @@ class Xoshiro256pp:
         if not 0 <= k <= population:
             raise ValueError("k must be in [0, population]")
         dtype = np.int32 if population <= np.iinfo(np.int32).max else np.int64
-        pool = np.empty((population,) + self._lanes, dtype=dtype)
+        lanes = self._n
+        pool = np.empty((population, lanes), dtype=dtype)
         pool.T[...] = np.arange(population, dtype=dtype)
-        cols = tuple(np.arange(n) for n in self._lanes)
+        flat = pool.reshape(-1)
         picks = self._below_each(np.arange(population, population - k, -1, dtype=np.uint64))
-        for i, x in enumerate(picks):
-            a, b = (i, *cols), (i + x, *cols)
-            pool[a], pool[b] = pool[b], pool[a]
-        return pool[:k].astype(np.int64)
+        # pick i of lane l swaps row i with row i + pick, at flat index
+        # (i + pick) * lanes + l; picks < population < 2**63 fit int64
+        at = picks.reshape(k, lanes).view(np.int64)
+        at += np.arange(k)[:, None]
+        at *= lanes
+        at += np.arange(lanes)
+        if lanes == 1:  # Python-int scalar swaps beat one-element gathers
+            for i, b in enumerate(at.ravel().tolist()):
+                flat[i], flat[b] = flat[b], flat[i]
+        else:
+            for row, b in zip(pool, at):
+                swap = flat[b]
+                flat[b] = row
+                row[...] = swap
+        return pool[:k].astype(np.int64).reshape((k,) + self._lanes)
 
 
 def substream(seed: int, index) -> Xoshiro256pp:

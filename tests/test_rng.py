@@ -345,6 +345,33 @@ def test_characteristic_polynomial_rederived_by_berlekamp_massey():
     assert int(f"{c:0{degree + 1}b}"[::-1], 2) == rng._P
 
 
+@settings(max_examples=8, deadline=None)
+@given(st.lists(st.integers(0, 2 * 10**6), min_size=1, max_size=4))
+def test_jump_polynomials_equal_one_galois_shift_per_row(ds):
+    # one pass of per-row shifts to the largest d checks x**d mod _P at each
+    # d, and the segment step: x**a times x**(d - a) is x**d
+    poly, row, prev = 1, 0, 0
+    for d in sorted(ds):
+        for _ in range(d - row):
+            poly <<= 1
+            if poly >> rng._DEG:
+                poly ^= rng._P
+        row = d
+        assert rng._xpow(d) == poly
+        assert rng._mulmod(rng._xpow(prev), rng._xpow(d - prev)) == poly
+        prev = d
+
+
+@settings(max_examples=20, deadline=None)
+@given(seeds, st.integers(0, 3000), st.data())
+def test_one_stream_sample_without_replacement_matches_oracle(seed, population, data):
+    # k >= _JUMP_MIN draws its picks as a jumped block
+    k = data.draw(st.one_of(st.integers(0, min(population, 40)), st.integers(0, population)))
+    gen, oracle = Xoshiro256pp(seed), Oracle(seed)
+    assert gen.sample_without_replacement(population, k).tolist() == oracle.sample(population, k)
+    assert gen.next_u64() == oracle.next()
+
+
 jump_lanes = st.one_of(st.none(), st.integers(1, 12), st.integers(13, 600))
 # around the jump threshold, and up to 3000 rows
 jump_rows = st.one_of(st.integers(rng._JUMP_MIN - 3, rng._JUMP_MIN + 3),
