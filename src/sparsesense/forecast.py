@@ -629,7 +629,7 @@ def train(ts: TimeSeries, cfg: TrainConfig) -> tuple[LstmModel, list[float]]:
     history: list[float] = []
     scale2 = float(np.mean(model.norm_std ** 2))
     # with one CPU a helper thread would only add switches and GIL handoffs
-    with (_Helper() if _cpus() > 1 else _Inline()) as helper:
+    with (_Helper() if _cpus() > 1 else _INLINE) as helper:
         for epoch in range(cfg.epochs):
             order = rng.permutation(n_train)
             sq_sum = 0.0

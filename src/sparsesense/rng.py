@@ -181,13 +181,6 @@ def _jump_rows(record: np.ndarray, out: np.ndarray) -> np.ndarray:
     return starts[:, -1].copy()
 
 
-def _shadowed(s: np.ndarray) -> np.ndarray:
-    """The (4, lanes) state a generator holds: a lone lane gets a shadow
-    copy beside it, as numpy's ufuncs run one-element arrays about 1.5x
-    slower per call than two-element ones, and its draws read column 0."""
-    return np.repeat(s, 2, axis=1) if s.shape[1] == 1 else s
-
-
 class Xoshiro256pp:
     """xoshiro256++ with splitmix64 seeding.
 
@@ -197,12 +190,11 @@ class Xoshiro256pp:
     axis; lane l equals the stream seeded with seed[l], bit for bit.  Every
     layout keeps its state as a (4, lanes) uint64 array and steps it in
     numpy uint64 arithmetic, twelve ufunc calls per row (`_xoshiro_rows`):
-    some 6 us per row for two lanes, 6-8 us for a few hundred, and 10 us
-    for one lane alone, so a lone lane is held beside a shadow copy and
-    steps as two (2-core host, numpy 2.4.6).  A block of at least
-    _JUMP_MIN rows on at most _WIDE // 4 lanes records its first _DEG
-    states and jumps ahead from them, so that the rest of the block steps
-    up to _WIDE lanes wide (`_jump_rows`).
+    some 6-8 us per row for a few hundred lanes and 9 us for one (numpy's
+    ufuncs cost more per call on one-element arrays; 2-core host, numpy
+    2.4.6).  A block of at least _JUMP_MIN rows on at most _WIDE // 4
+    lanes records its first _DEG states and jumps ahead from them, so that
+    the rest of the block steps up to _WIDE lanes wide (`_jump_rows`).
     """
 
     def __init__(self, seed):
@@ -213,8 +205,7 @@ class Xoshiro256pp:
         for _ in range(4):
             state, out = splitmix64_next(state)
             s.append(out)
-        self._n = state.size
-        self._s = _shadowed(np.stack(s))
+        self._s = np.stack(s)
 
     def next_u64(self):
         """The next raw output: a uint64 scalar, or an array of one per lane."""
@@ -222,7 +213,7 @@ class Xoshiro256pp:
 
     def next_u64s(self, k: int) -> np.ndarray:
         """The next k raw outputs of every lane, as a (k,) + lanes block."""
-        out = np.empty((k, self._n), dtype=np.uint64)
+        out = np.empty((k, self._s.shape[1]), dtype=np.uint64)
         self._fill(out)
         return out.reshape((k,) + self._lanes)
 
@@ -231,16 +222,10 @@ class Xoshiro256pp:
         of every lane."""
         k, lanes = out.shape
         jump = k >= _JUMP_MIN and _WIDE // lanes >= 4
-        head = out[:_DEG] if jump else out
-        record = np.empty((_DEG,) + self._s.shape, dtype=np.uint64) if jump else None
-        if self._s.shape[1] == lanes:
-            _xoshiro_rows(self._s, head, record)
-        else:  # a lone lane steps beside its shadow
-            pair = np.empty((len(head), 2), dtype=np.uint64)
-            _xoshiro_rows(self._s, pair, record)
-            head[...] = pair[:, :1]
+        record = np.empty((_DEG, 4, lanes), dtype=np.uint64) if jump else None
+        _xoshiro_rows(self._s, out[:_DEG] if jump else out, record)
         if jump:
-            self._s = _shadowed(_jump_rows(record[..., :lanes], out))
+            self._s = _jump_rows(record, out)
 
     # ------------------------------------------------------------------
     # derived draws
@@ -277,15 +262,12 @@ class Xoshiro256pp:
         x = self.next_u64s(1).reshape(-1)
         retry = np.flatnonzero(x >= limit)
         while retry.size:
-            # when every lane redraws, the whole state steps: a lone lane's shadow too
-            cols = retry if retry.size < x.size else slice(None)
-            s = self._s[:, cols]
-            redraw = np.empty((1, s.shape[1]), dtype=np.uint64)
+            s = self._s[:, retry]
+            redraw = np.empty((1, retry.size), dtype=np.uint64)
             _xoshiro_rows(s, redraw)
-            self._s[:, cols] = s
-            redraw = redraw[0, :retry.size]
-            x[retry] = redraw
-            retry = retry[redraw >= limit]
+            self._s[:, retry] = s
+            x[retry] = redraw[0]
+            retry = retry[redraw[0] >= limit]
         return (x % bound).reshape(self._lanes)[()]
 
     def _below_each(self, bounds: np.ndarray) -> np.ndarray:
@@ -314,7 +296,7 @@ class Xoshiro256pp:
         the log of its radii is `math.log` per element, the one
         transcendental whose numpy form changes bytes (see the module
         docstring)."""
-        rows, lanes = 2 * -(-n // 2), self._n
+        rows, lanes = 2 * -(-n // 2), self._s.shape[1]
         out = np.empty((rows,) + self._lanes)
         raw = out.view(np.uint64)
         self._fill(raw.reshape(rows, lanes))
@@ -338,7 +320,7 @@ class Xoshiro256pp:
         if not 0 <= k <= population:
             raise ValueError("k must be in [0, population]")
         dtype = np.int32 if population <= np.iinfo(np.int32).max else np.int64
-        lanes = self._n
+        lanes = self._s.shape[1]
         pool = np.empty((population, lanes), dtype=dtype)
         pool.T[...] = np.arange(population, dtype=dtype)
         flat = pool.reshape(-1)
@@ -349,14 +331,10 @@ class Xoshiro256pp:
         at += np.arange(k)[:, None]
         at *= lanes
         at += np.arange(lanes)
-        if lanes == 1:  # Python-int scalar swaps beat one-element gathers
-            for i, b in enumerate(at.ravel().tolist()):
-                flat[i], flat[b] = flat[b], flat[i]
-        else:
-            for row, b in zip(pool, at):
-                swap = flat[b]
-                flat[b] = row
-                row[...] = swap
+        for row, b in zip(pool, at):
+            swap = flat[b]
+            flat[b] = row
+            row[...] = swap
         return pool[:k].astype(np.int64).reshape((k,) + self._lanes)
 
 
