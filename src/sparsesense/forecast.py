@@ -23,20 +23,19 @@ recomputation).  A batch allocates no buffer that grows with T.
 
 The products that do not depend on the recurrence run on one helper
 thread (`_Helper`), which `train` starts once and joins before it
-returns, when the process may run on more than one CPU; BLAS releases
-the GIL, so they take the second core.  A lone `loss_and_grads` or
-`lstm_forward` call, and `train` on one CPU, run every product on the
+returns; BLAS releases the GIL, so they take the second core.  A lone
+`loss_and_grads` or `lstm_forward` call runs every product on the
 calling thread (`_Inline`).  While the calling thread steps the
 recurrence, the helper projects the inputs of every time chunk after
 the first, `_CHUNK` steps at a time; after BPTT it computes a column
 block of dWh while the caller computes the rest of dWh, dWx and db.
 A product the helper has not started by the time the caller needs it,
 the caller runs itself (`_Task`), so a busy second core delays a batch
-by at most the product in flight.  Every product is
-the same BLAS call as on one thread, or a column block that OpenBLAS
-runs with the same kernels, so the bytes do not change.  The time loop
-stays on one thread: two threads stepping half a batch each contend for
-the GIL at every step.
+by at most the product in flight.  Every product is the same BLAS call
+as on one thread, or a column block that OpenBLAS runs with the same
+kernels, so the bytes do not change.  The time loop stays on one
+thread: two threads stepping half a batch each contend for the GIL at
+every step.
 
 Training and rollout share one cell, `_step`, on gate-major weights
 (`_gate_major`).  The rollout runs each sliding window from the zero
@@ -60,7 +59,6 @@ from __future__ import annotations
 
 import contextvars
 import math
-import os
 import threading
 from dataclasses import dataclass
 from collections import deque
@@ -260,8 +258,8 @@ class _Task:
 
 
 class _Inline:
-    """`_Helper` without the thread, for a lone pass or a host with one
-    CPU: `submit` only wraps its tasks, and `_Task.finish` runs each."""
+    """`_Helper` without the thread, for a lone pass: `submit` only wraps
+    its tasks, and `_Task.finish` runs each."""
 
     def __enter__(self) -> _Inline:
         return self
@@ -310,14 +308,6 @@ class _Helper(_Inline):
 
 
 _INLINE = _Inline()
-
-
-def _cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity on this platform
-        return os.cpu_count() or 1
 
 
 def _gate_major(W: np.ndarray) -> np.ndarray:
@@ -628,8 +618,7 @@ def train(ts: TimeSeries, cfg: TrainConfig) -> tuple[LstmModel, list[float]]:
     workspace = Workspace(min(cfg.batch_size, n_train), cfg.window, s, cfg.hidden_dim)
     history: list[float] = []
     scale2 = float(np.mean(model.norm_std ** 2))
-    # with one CPU a helper thread would only add switches and GIL handoffs
-    with (_Helper() if _cpus() > 1 else _INLINE) as helper:
+    with _Helper() as helper:
         for epoch in range(cfg.epochs):
             order = rng.permutation(n_train)
             sq_sum = 0.0

@@ -420,7 +420,7 @@ def test_overlapped_batch_equals_the_serial_batch_bit_for_bit(B, T, s, H, dropou
     data = np.random.default_rng(seed + 1)
     xb, yb = data.standard_normal((B, T, s)), data.standard_normal((B, s))
     want_loss, want = serial_loss_and_grads(model, xb, yb, np.random.default_rng(seed))
-    for helper in (forecast._Helper(), forecast._Inline()):
+    for helper in (forecast._Helper(), forecast._INLINE):
         with helper:
             loss, grads = loss_and_grads(model, xb, yb, rng=np.random.default_rng(seed),
                                          helper=helper)
@@ -462,13 +462,6 @@ def test_an_exception_on_the_helper_reaches_the_caller(monkeypatch):
     assert threading.active_count() == before
 
 
-def no_thread_starts(monkeypatch):
-    def start(thread):
-        raise AssertionError("a thread was started")
-
-    monkeypatch.setattr(threading.Thread, "start", start)
-
-
 def test_a_lone_forward_pass_starts_no_thread_and_keeps_the_threaded_bytes(monkeypatch):
     model = random_model(16, 128, 128, seed=3)
     sequence = np.random.default_rng(4).standard_normal((50, 16))
@@ -476,24 +469,13 @@ def test_a_lone_forward_pass_starts_no_thread_and_keeps_the_threaded_bytes(monke
         out, _ = forecast._forward_batch(model, model.normalize(sequence)[None], False, None,
                                          helper=helper)
     want = model.denormalize(out[0])
-    no_thread_starts(monkeypatch)
+
+    def start(thread):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", start)
     pred, _ = lstm_forward(model, sequence)
     np.testing.assert_array_equal(pred, want)
-
-
-def test_train_on_one_cpu_starts_no_thread_and_keeps_the_model_bytes(monkeypatch, tmp_path):
-    t = np.arange(120) * 0.5
-    series, cfg = TimeSeries(t, np.c_[np.sin(t), np.cos(0.3 * t)]), small_cfg(window=25, epochs=2)
-    save_model(train(series, cfg)[0], tmp_path / "any.lstm")
-    monkeypatch.setattr(forecast.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert forecast._cpus() == 1
-    no_thread_starts(monkeypatch)
-    save_model(train(series, cfg)[0], tmp_path / "one.lstm")
-    assert (tmp_path / "one.lstm").read_bytes() == (tmp_path / "any.lstm").read_bytes()
-    # where the platform has no affinity call, the CPU count decides
-    monkeypatch.delattr(forecast.os, "sched_getaffinity")
-    monkeypatch.setattr(forecast.os, "cpu_count", lambda: None)
-    assert forecast._cpus() == 1
 
 
 def test_each_task_runs_once_on_whichever_thread_takes_it_first():
