@@ -60,8 +60,8 @@ class RunConfig:
         self.scenario.validate(gt.m, gt.n)
         self.rpca.validate()
         self.train.validate()
-        if min(gt.seed, self.scenario.seed, self.train.seed) < 0:
-            raise ValidationError("synth.seed and train.seed must be non-negative")
+        if min(gt.seed, self.scenario.seed) < 0:
+            raise ValidationError("synth.seed must be non-negative")
         if not 1 <= self.r <= self.s:
             raise ConstraintError(f"need 1 <= osp.r <= osp.s, got r={self.r}, s={self.s}")
         if self.r > min(gt.m, gt.n) or self.s > gt.m:

@@ -24,14 +24,15 @@ recomputation).  A batch allocates no buffer that grows with T.
 The products that do not depend on the recurrence run on one helper
 thread (`_Helper`), which `train` starts once and joins before it
 returns; BLAS releases the GIL, so they take the second core.  A lone
-`loss_and_grads` or `lstm_forward` call runs every product on the
-calling thread (`_Inline`).  While the calling thread steps the
+`loss_and_grads` or `lstm_forward` call has no helper (`None`) and runs
+every product on the calling thread.  While the calling thread steps the
 recurrence, the helper projects the inputs of every time chunk after
 the first, `_CHUNK` steps at a time; after BPTT it computes a column
 block of dWh while the caller computes the rest of dWh, dWx and db.
-A product the helper has not started by the time the caller needs it,
-the caller runs itself (`_Task`), so a busy second core delays a batch
-by at most the product in flight.  Every product is the same BLAS call
+`_later` hands each product over and returns the call that collects it:
+a product the helper has not started by the time the caller needs it,
+the caller runs itself, so a busy second core delays a batch by at
+most the product in flight.  Every product is the same BLAS call
 as on one thread, or a column block that OpenBLAS runs with the same
 kernels, so the bytes do not change.  The time loop stays on one
 thread: two threads stepping half a batch each contend for the GIL at
@@ -95,6 +96,8 @@ class TimeSeries:
             raise ValidationError("timestamps and values are inconsistent")
         if not np.all(np.isfinite(t)) or np.any(np.diff(t) < 0):
             raise ValidationError("timestamps must be finite and nondecreasing")
+        if not np.all(np.isfinite(v)):
+            raise ValidationError("values contain non-finite entries")
         object.__setattr__(self, "timestamps", t)
         object.__setattr__(self, "values", v)
 
@@ -129,6 +132,8 @@ class TrainConfig:
             raise ValidationError("need hidden_dim, dense_dim >= 1 and val_fraction in [0, 1)")
         if not 0.0 <= self.clip_norm < math.inf:
             raise ValidationError("clip_norm must be finite and nonnegative (0 = off)")
+        if self.seed < 0:
+            raise ValidationError("seed must be non-negative")
 
 
 @dataclass
@@ -192,6 +197,8 @@ def make_windows(values: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarra
     the series, not copies."""
     values = np.asarray(values, dtype=np.float64)
     n = values.shape[0]
+    if window < 1:
+        raise ValidationError(f"window must be at least 1, got {window}")
     if n < window + 1:
         raise ValidationError(f"series of length {n} too short for window {window}")
     # a read-only strided view: indexing a batch out of it copies the rows
@@ -228,54 +235,10 @@ def _step(z: np.ndarray, c: np.ndarray, c_next: np.ndarray, tc: np.ndarray,
     np.multiply(o, tc, out=h_next)
 
 
-class _Task:
-    """One product that either thread may run: whichever takes `lock`
-    first runs it, so the caller never waits for a task the helper has
-    not started.  An exception it raises is kept for `finish`."""
-
-    def __init__(self, fn):
-        self.fn, self.lock, self.done, self.error = fn, threading.Lock(), False, None
-
-    def run(self, blocking: bool) -> None:
-        if not self.lock.acquire(blocking):
-            return  # the other thread is running it
-        try:
-            if not self.done:
-                try:
-                    self.fn()
-                except BaseException as exc:  # re-raised by `finish`
-                    self.error = exc
-                self.done = True
-        finally:
-            self.lock.release()
-
-    def finish(self) -> None:
-        """Run the task here unless it has run or is running, then raise
-        what it raised."""
-        self.run(blocking=True)
-        if self.error is not None:
-            raise self.error
-
-
-class _Inline:
-    """`_Helper` without the thread, for a lone pass: `submit` only wraps
-    its tasks, and `_Task.finish` runs each."""
-
-    def __enter__(self) -> _Inline:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        pass
-
-    def submit(self, fns: list) -> list[_Task]:
-        return [_Task(fn) for fn in fns]
-
-
-class _Helper(_Inline):
+class _Helper:
     """One helper thread beside the calling thread, for the length of a
-    `with` block: `submit` queues tasks, which it runs in order, and
-    `_Task.finish` collects each.  The thread runs in a copy of the
-    caller's context, so numpy's error state holds on it too."""
+    `with` block: it runs what `put` queues, in order, in a copy of the
+    context `_Helper()` was made in, so numpy's error state holds there too."""
 
     def __init__(self):
         self._queue, self._ready = deque(), threading.Semaphore(0)
@@ -287,27 +250,41 @@ class _Helper(_Inline):
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self._queue.append(None)
-        self._ready.release()
+        self.put(None)
         self._thread.join()
 
+    def put(self, fn) -> None:
+        self._queue.append(fn)
+        self._ready.release()
+
     def _run(self) -> None:
-        while True:
-            self._ready.acquire()
-            task = self._queue.popleft()
-            if task is None:
-                return
-            task.run(blocking=False)
-
-    def submit(self, fns: list) -> list[_Task]:
-        tasks = super().submit(fns)
-        for task in tasks:
-            self._queue.append(task)
-            self._ready.release()
-        return tasks
+        while self._ready.acquire() and (fn := self._queue.popleft()) is not None:
+            fn()
 
 
-_INLINE = _Inline()
+def _later(helper: _Helper | None, fn):
+    """Queue `fn` on `helper` and return the call that completes it:
+    whichever thread takes the lock first runs `fn`, so the call never
+    waits for an `fn` the helper has not started, and it re-raises what
+    `fn` raised.  With no helper, the call runs `fn`."""
+    if helper is None:
+        return fn
+    lock, outcome = threading.Lock(), []  # [None], or [what fn raised]
+
+    def run(blocking: bool = True) -> None:
+        if lock.acquire(blocking):  # else the other thread is running fn
+            if not outcome:
+                try:
+                    fn()
+                    outcome.append(None)
+                except BaseException as exc:  # re-raised by the caller's call
+                    outcome.append(exc)
+            lock.release()
+        if blocking and outcome[0] is not None:
+            raise outcome[0]
+
+    helper.put(partial(run, False))
+    return run
 
 
 def _gate_major(W: np.ndarray) -> np.ndarray:
@@ -400,7 +377,7 @@ def init_model(input_dim: int, cfg: TrainConfig,
 def _forward_batch(model: LstmModel, xb: np.ndarray, training: bool,
                    rng: np.random.Generator | None,
                    workspace: Workspace | None = None,
-                   helper: _Inline = _INLINE) -> tuple[np.ndarray, dict]:
+                   helper: _Helper | None = None) -> tuple[np.ndarray, dict]:
     """xb: normalized (B, T, s) batch; returns normalized outputs (B, s)
     and the cache needed for backpropagation, which holds views of the
     workspace (a fresh one when none is given).  Step t reads cs[t],
@@ -419,12 +396,12 @@ def _forward_batch(model: LstmModel, xb: np.ndarray, training: bool,
     cs[0] = 0.0
     hs[0] = 0.0
     Wh, zh = _gate_major(p["Wh"]), np.empty((4, B, H))
-    chunks = helper.submit([partial(_project, x[t:t + _CHUNK], Wx, b, z[t:t + _CHUNK])
-                            for t in range(_CHUNK, T, _CHUNK)])
+    chunks = [_later(helper, partial(_project, x[t:t + _CHUNK], Wx, b, z[t:t + _CHUNK]))
+              for t in range(_CHUNK, T, _CHUNK)]
     _project(x[:_CHUNK], Wx, b, z[:_CHUNK])
     for t in range(T):
         if t % _CHUNK == 0 and t:
-            chunks[t // _CHUNK - 1].finish()  # steps t..t + _CHUNK - 1 are projected
+            chunks[t // _CHUNK - 1]()  # steps t..t + _CHUNK - 1 are projected
         if t:  # the state starts at zero: step 0 has no recurrent term
             z[t] += np.matmul(hs[t], Wh, out=zh)
         _step(z[t], cs[t], cs[t + 1], tcs[t], hs[t + 1])
@@ -442,7 +419,7 @@ def _forward_batch(model: LstmModel, xb: np.ndarray, training: bool,
 
 
 def _backward_batch(model: LstmModel, cache: dict, dout: np.ndarray,
-                    helper: _Inline) -> dict[str, np.ndarray]:
+                    helper: _Helper | None = None) -> dict[str, np.ndarray]:
     """Gradients of the loss wrt every parameter, given dL/d(output).
     This spends the forward cache: BPTT forms the gate gradients of step
     t in one (B, 4H) scratch block, which feeds the dh product, and then
@@ -506,11 +483,11 @@ def _backward_batch(model: LstmModel, cache: dict, dout: np.ndarray,
     # and 4H is a multiple of 8; at odd H the last four columns can round
     # differently (H = 129 on two threads), so the helper takes all of dWh.
     split = 64 * (H // 64) if H % 2 == 0 else 0
-    [right] = helper.submit([partial(np.matmul, hsT, dzh[:, split:], out=dWh[:, split:])])
+    right = _later(helper, partial(np.matmul, hsT, dzh[:, split:], out=dWh[:, split:]))
     np.matmul(hsT, dzh[:, :split], out=dWh[:, :split])
     grads["Wx"] = x.reshape(T * B, s).T @ rows
     grads["b"] = rows.sum(axis=0)
-    right.finish()
+    right()
     return grads
 
 
@@ -530,13 +507,13 @@ def loss_and_grads(model: LstmModel, xb: np.ndarray, yb: np.ndarray,
                    training: bool = True,
                    rng: np.random.Generator | None = None,
                    workspace: Workspace | None = None,
-                   helper: _Inline = _INLINE
+                   helper: _Helper | None = None
                    ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean-squared error over a normalized batch plus its gradients.
     The batch runs on `workspace` when given (see `Workspace`), else on a
     fresh one; the workspace is overwritten, and the result does not
     depend on what it held.  Likewise its products run on `helper`'s
-    thread when given a `_Helper`, else on this one."""
+    thread when given one, else on this one."""
     out, cache = _forward_batch(model, xb, training, rng, workspace, helper)
     diff = out - yb
     loss = float(np.mean(diff ** 2))

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import decompose, forecast, matio, osp, synth
+from . import decompose, forecast, linalg, matio, osp, synth
 from .config import RunConfig
 from .errors import ValidationError
 from .rng import Xoshiro256pp
@@ -185,11 +185,10 @@ def cmd_predict(cfg: RunConfig, out: Path) -> dict:
 
 def cmd_evaluate(cfg: RunConfig, out: Path) -> dict:
     t0 = time.perf_counter()
-    pred_full = matio.read_matrix(out / PRED_FULL_FILE)
-    if pred_full.shape[1] == 0:
-        raise ValidationError(f"{out / PRED_FULL_FILE}: no forecast steps")
+    pred_full = linalg.validate_matrix(matio.read_matrix(out / PRED_FULL_FILE),
+                                       str(out / PRED_FULL_FILE))
     truth_path = cfg.truth or out / TRUTH_FILE
-    truth = matio.read_matrix(truth_path)
+    truth = linalg.validate_matrix(matio.read_matrix(truth_path), str(truth_path))
     if truth.shape[1] < cfg.holdout:
         raise ValidationError(f"{truth_path}: {truth.shape[1]} frames, fewer than "
                               f"train.holdout = {cfg.holdout}")

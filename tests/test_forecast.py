@@ -1,4 +1,6 @@
+import contextlib
 import math
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -125,6 +127,16 @@ def test_make_windows_are_views_and_a_batch_is_a_copy():
 def test_make_windows_too_short():
     with pytest.raises(ValidationError):
         make_windows(np.zeros((10, 1)), 10)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: train(TimeSeries(np.arange(30.0), np.zeros((30, 1))), TrainConfig(window=5, seed=-1)),
+    lambda: make_windows(np.zeros((10, 1)), 0),
+    lambda: make_windows(np.zeros((10, 1)), -3),
+], ids=["negative seed", "window 0", "window -3"])
+def test_bad_arguments_raise_validation_error_not_numpys(call):
+    with pytest.raises(ValidationError):
+        call()
 
 
 # ----------------------------------------------------------------------
@@ -420,8 +432,8 @@ def test_overlapped_batch_equals_the_serial_batch_bit_for_bit(B, T, s, H, dropou
     data = np.random.default_rng(seed + 1)
     xb, yb = data.standard_normal((B, T, s)), data.standard_normal((B, s))
     want_loss, want = serial_loss_and_grads(model, xb, yb, np.random.default_rng(seed))
-    for helper in (forecast._Helper(), forecast._INLINE):
-        with helper:
+    for helper in (forecast._Helper(), None):
+        with helper or contextlib.nullcontext():
             loss, grads = loss_and_grads(model, xb, yb, rng=np.random.default_rng(seed),
                                          helper=helper)
         assert loss == want_loss
@@ -480,25 +492,53 @@ def test_a_lone_forward_pass_starts_no_thread_and_keeps_the_threaded_bytes(monke
 
 def test_each_task_runs_once_on_whichever_thread_takes_it_first():
     before = threading.active_count()
-    runs = []
-    with forecast._Helper() as helper:
-        tasks = helper.submit([partial(runs.append, k) for k in range(200)])
-        for task in tasks[::-1]:  # the caller runs what the helper has not reached
-            task.finish()
-        assert sorted(runs) == list(range(200))
+    runs, started = [], threading.Event()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the GIL over often, so the threads race
+    try:
+        with forecast._Helper() as helper:
+            calls = [forecast._later(helper, started.set)]
+            calls += [forecast._later(helper, partial(runs.append, k)) for k in range(200)]
+            assert started.wait(timeout=60)
+            for call in calls[::-1]:  # the caller runs what the helper has not reached
+                call()
+    finally:
+        sys.setswitchinterval(interval)
+    # the helper has run what it took, and has skipped the rest
+    assert sorted(runs) == list(range(200))
 
     def fail():
         raise KeyError("late")
 
     with forecast._Helper() as helper:
-        [task] = helper.submit([fail])
+        call = forecast._later(helper, fail)
         with pytest.raises(KeyError, match="late"):
-            task.finish()
+            call()
     # the caller's own exception leaves the block, and the helper is joined
     with pytest.raises(ValueError), forecast._Helper() as helper:
-        helper.submit([fail, fail])
+        forecast._later(helper, fail)
+        forecast._later(helper, fail)
         raise ValueError("caller")
     assert threading.active_count() == before
+
+
+def test_the_helper_thread_keeps_the_error_state_it_was_made_in():
+    with np.errstate(over="raise", under="ignore"):
+        helper = forecast._Helper()
+    seen, ran = [], threading.Event()
+
+    def probe():
+        seen.append((threading.current_thread(), np.geterr()))
+        ran.set()
+
+    assert np.geterr()["over"] != "raise"
+    with helper:
+        call = forecast._later(helper, probe)
+        assert ran.wait(timeout=60)  # the helper, not this thread, runs the probe
+        call()
+    [(thread, err)] = seen
+    assert thread is not threading.current_thread()
+    assert (err["over"], err["under"]) == ("raise", "ignore")
 
 
 def saturated_model():

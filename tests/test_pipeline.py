@@ -375,6 +375,21 @@ def test_cli_bad_timestamps_exit_2(workspace, tmp_path, capsys, bad_row):
     assert "error:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("stage", ["train", "predict"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_cli_non_finite_measurements_exit_2(workspace, tmp_path, capsys, stage, bad):
+    cfg_path, _, out = mutable_copy(workspace, tmp_path)
+    path = out / pipeline.MEASUREMENTS_FILE
+    values = matio.read_matrix(path)
+    values[1, 3] = bad
+    matio.write_matrix(values, path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # bad input, not a numpy warning from training
+        assert cli.main([stage, "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "non-finite" in err and "Traceback" not in err
+
+
 def test_cli_missing_input_exit_4(tmp_path, capsys):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(SMALL_CFG)
@@ -403,6 +418,24 @@ def test_cli_evaluate_truth_shorter_than_holdout_exit_2(workspace, tmp_path, cap
     assert cli.main(["evaluate", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "short.rbdm" in err and "holdout" in err
+
+
+@pytest.mark.parametrize("name", [pipeline.TRUTH_FILE, "evaluate.truth", pipeline.PRED_FULL_FILE])
+def test_cli_evaluate_non_finite_input_exit_2(workspace, tmp_path, capsys, name):
+    cfg_path, _, out = mutable_copy(workspace, tmp_path)
+    (out / "report_evaluate.json").unlink()
+    path = out / (pipeline.TRUTH_FILE if name == "evaluate.truth" else name)
+    matrix = matio.read_matrix(path)
+    matrix[7, -2] = math.nan  # in a frame the evaluation scores
+    if name == "evaluate.truth":
+        path = tmp_path / "nan.rbdm"
+        cfg_path = tmp_path / "nan.cfg"
+        cfg_path.write_text(SMALL_CFG + f"evaluate.truth = {path}\n")
+    matio.write_matrix(matrix, path)
+    assert cli.main(["evaluate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert path.name in err and "non-finite" in err and "Traceback" not in err
+    assert not (out / "report_evaluate.json").exists()
 
 
 def test_cli_evaluate_empty_prediction_exit_2(workspace, tmp_path, capsys):
