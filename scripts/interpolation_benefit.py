@@ -30,6 +30,29 @@ def signal(t: np.ndarray) -> np.ndarray:
                      0.6 * np.sin(2 * np.pi * t / 12.0 + 2.1)], axis=-1)
 
 
+def curves(samples: int, epochs: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-step RMSE of the 100-step forecast of the network trained on
+    the raw samples and of the one trained on the interpolated series."""
+    rng = np.random.default_rng(42)
+    dt = 0.5
+    gaps = dt * rng.uniform(0.25, 1.75, size=samples - 1)
+    t_irregular = np.concatenate([[0.0], np.cumsum(gaps)])
+    ts = TimeSeries(t_irregular, signal(t_irregular))
+    cfg = TrainConfig(window=50, horizon=100, epochs=epochs,
+                      hidden_dim=32, dense_dim=32, dropout=0.0,
+                      learning_rate=1e-3, seed=seed)
+
+    def curve(series: TimeSeries) -> np.ndarray:
+        model, _ = train(series, cfg)
+        pred = predict_multistep(model, series.values[-50:], 100)
+        truth = signal(series.timestamps[-1] + dt * np.arange(1, 101))
+        return np.array([rmse(pred[k], truth[k]) for k in range(100)])
+
+    # raw: the irregular samples are fed as if uniformly spaced;
+    # interpolated: resampled to the uniform grid first, same seed
+    return curve(ts), curve(interpolate_uniform(ts, dt))
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--epochs", type=int, default=40)
@@ -37,27 +60,7 @@ def main() -> None:
     parser.add_argument("--samples", type=int, default=600)
     args = parser.parse_args()
 
-    rng = np.random.default_rng(42)
-    dt = 0.5
-    gaps = dt * rng.uniform(0.25, 1.75, size=args.samples - 1)
-    t_irregular = np.concatenate([[0.0], np.cumsum(gaps)])
-    vals = signal(t_irregular)
-    ts = TimeSeries(t_irregular, vals)
-    cfg = TrainConfig(window=50, horizon=100, epochs=args.epochs,
-                      hidden_dim=32, dense_dim=32, dropout=0.0,
-                      learning_rate=1e-3, seed=args.seed)
-
-    model_raw, _ = train(ts, cfg)
-    pred_raw = predict_multistep(model_raw, vals[-50:], 100)
-    truth_raw = signal(t_irregular[-1] + dt * np.arange(1, 101))
-    curve_raw = np.array([rmse(pred_raw[k], truth_raw[k]) for k in range(100)])
-
-    ts_uniform = interpolate_uniform(ts, dt)
-    model_int, _ = train(ts_uniform, cfg)
-    pred_int = predict_multistep(model_int, ts_uniform.values[-50:], 100)
-    truth_int = signal(ts_uniform.timestamps[-1] + dt * np.arange(1, 101))
-    curve_int = np.array([rmse(pred_int[k], truth_int[k]) for k in range(100)])
-
+    curve_raw, curve_int = curves(args.samples, args.epochs, args.seed)
     print(f"{'step':>4} {'raw':>8} {'interp':>8}")
     for k in range(0, 100, 10):
         print(f"{k + 1:>4} {curve_raw[k]:>8.4f} {curve_int[k]:>8.4f}")

@@ -44,7 +44,6 @@ class RunConfig:
     interpolate: bool = False        # resample the training series uniformly
     train_dt: float = 0.5            # spacing of that uniform grid
     pgm: bool = False                # dump first and last forecast frames
-    frame_height: int | None = None  # None: m / frame_width rows
     frame_width: int = 1
     truth: str | None = None         # None: the synth stage's truth matrix
 
@@ -78,18 +77,17 @@ class RunConfig:
                                   f"synth.n = {gt.n} frames")
         if self.holdout < 1:
             raise ValidationError("train.holdout must be at least 1")
-        if self.frame_width < 1 or self.frame_height is not None and self.frame_height < 1:
-            raise ValidationError("evaluate.frame_height and frame_width must be positive")
+        if self.frame_width < 1:
+            raise ValidationError("evaluate.frame_width must be positive")
         if self.pgm:
             self.frame_shape(gt.m)
 
     def frame_shape(self, m: int) -> tuple[int, int]:
         """(height, width) of a PGM frame of m pixels."""
-        height = self.frame_height or m // self.frame_width
-        if height * self.frame_width != m:
-            raise ValidationError(f"evaluate.frame_height x frame_width = {height} x "
-                                  f"{self.frame_width} does not tile m = {m} pixels")
-        return height, self.frame_width
+        if m % self.frame_width:
+            raise ValidationError(f"evaluate.frame_width = {self.frame_width} does not "
+                                  f"tile m = {m} pixels")
+        return m // self.frame_width, self.frame_width
 
 
 _BOOLS = {"true": True, "1": True, "yes": True, "on": True,
@@ -146,7 +144,6 @@ KEYS = {
     "train.interpolate": (_bool, "interpolate"), "train.dt": (float, "train_dt"),
     "train.holdout": (int, "holdout"),
     "evaluate.pgm": (_bool, "pgm"),
-    "evaluate.frame_height": (int, "frame_height"),
     "evaluate.frame_width": (int, "frame_width"),
     "evaluate.truth": (str, "truth"),
 }

@@ -122,8 +122,8 @@ class TrainConfig:
     def validate(self) -> None:
         if self.window < 1 or self.horizon < 1:
             raise ValidationError("window and horizon must be at least 1")
-        if not self.learning_rate > 0:
-            raise ValidationError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValidationError("learning_rate must be finite and positive")
         if not 0.0 <= self.dropout < 1.0:
             raise ValidationError("dropout must lie in [0, 1)")
         if self.epochs < 1 or self.batch_size < 1:

@@ -2,15 +2,19 @@
 
 Each test covers one release criterion at its stated tolerance and prints
 a single PASS/FAIL line directly to the terminal.
-Criterion 6 times training in a child interpreter on one BLAS thread;
-its bound comes from the network's multiply-add count (see the test).
+Criteria 5 and 6 run the experiments in scripts/, criterion 8 runs
+configs/desk_scale.cfg.  Criterion 6 times training in a child
+interpreter on one BLAS thread; its bound comes from the network's
+multiply-add count (see the test).
 """
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,17 +23,7 @@ import sparsesense
 from sparsesense import osp, pipeline
 from sparsesense.config import parse_config
 from sparsesense.decompose import RpcaConfig, pca_reconstruct, rpca
-from sparsesense.forecast import (
-    TimeSeries,
-    TrainConfig,
-    init_model,
-    interpolate_uniform,
-    loss_and_grads,
-    predict_multistep,
-    rmse,
-    train,
-)
-from sparsesense.rng import Xoshiro256pp
+from sparsesense.forecast import TrainConfig, init_model, loss_and_grads
 from sparsesense.synth import (
     GroundTruthSpec,
     Scenario,
@@ -37,6 +31,20 @@ from sparsesense.synth import (
     apply_scenario,
     generate_ground_truth,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
+
+
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+interpolation_benefit = load_script("interpolation_benefit")
+timing_comparison = load_script("timing_comparison")
 
 
 @pytest.fixture
@@ -53,18 +61,7 @@ def report(capfd):
     return _report
 
 
-def low_rank_plus_sparse(seed, m=200, n=100, rank=5, frac=0.05, scale=10.0):
-    rng = Xoshiro256pp(seed)
-    L0 = rng.normals(m * rank).reshape(m, rank) @ rng.normals(rank * n).reshape(rank, n)
-    k = int(frac * m * n)
-    support = rng.sample_without_replacement(m * n, k)
-    S0 = np.zeros(m * n)
-    for i in support:
-        S0[i] = (scale if rng.coin() else -scale) * L0.std()
-    return L0, S0.reshape(m, n), support
-
-
-def test_criterion_1_rpca_exact_recovery(report):
+def test_criterion_1_rpca_exact_recovery(report, low_rank_plus_sparse):
     t0 = time.perf_counter()
     L0, S0, support = low_rank_plus_sparse(seed=2024)
     result = rpca(L0 + S0, RpcaConfig(tol=1e-7, max_iters=500))
@@ -149,78 +146,21 @@ def test_criterion_4_lstm_gradient_audit(report):
 
 
 def test_criterion_5_interpolation_benefit(report):
-    def signal(t):
-        return np.stack([np.sin(2 * np.pi * t / 20.0),
-                         0.8 * np.sin(2 * np.pi * t / 33.0 + 0.7),
-                         0.6 * np.sin(2 * np.pi * t / 12.0 + 2.1)], axis=-1)
-
-    rng = np.random.default_rng(42)
-    dt = 0.5
-    n = 600
-    gaps = dt * rng.uniform(0.25, 1.75, size=n - 1)
-    t_irregular = np.concatenate([[0.0], np.cumsum(gaps)])
-    vals = signal(t_irregular)
-    ts = TimeSeries(t_irregular, vals)
-    cfg = TrainConfig(window=50, horizon=100, epochs=40, hidden_dim=32,
-                      dense_dim=32, dropout=0.0, learning_rate=1e-3, seed=7)
-
-    # raw: the irregular samples are fed as if uniformly spaced
-    model_raw, _ = train(ts, cfg)
-    pred_raw = predict_multistep(model_raw, vals[-50:], 100)
-    truth_raw = signal(t_irregular[-1] + dt * np.arange(1, 101))
-    curve_raw = np.array([rmse(pred_raw[k], truth_raw[k]) for k in range(100)])
-
-    # interpolated: resampled to the uniform grid first, same seed
-    ts_uniform = interpolate_uniform(ts, dt)
-    model_int, _ = train(ts_uniform, cfg)
-    pred_int = predict_multistep(model_int, ts_uniform.values[-50:], 100)
-    truth_int = signal(ts_uniform.timestamps[-1] + dt * np.arange(1, 101))
-    curve_int = np.array([rmse(pred_int[k], truth_int[k]) for k in range(100)])
-
+    # the script's defaults: 600 samples, 40 epochs, seed 7
+    curve_raw, curve_int = interpolation_benefit.curves(600, 40, 7)
     frac = float(np.mean(curve_int <= curve_raw))
     report(5, "uniform-grid interpolation improves the forecast curve",
            frac >= 0.80, f"interpolated <= raw at {frac:.0%} of 100 steps")
 
 
-# Criterion 6 times training in a child interpreter pinned to one BLAS
-# thread, so the ratio does not depend on the host's core count or on
-# which tests warmed this process up.  The child trains once per width
-# untimed, then times interleaved narrow/wide pairs and prints every
-# per-epoch time as JSON.
-TRAINING_COST_CHILD = """\
-import json, sys, time
-import numpy as np
-from sparsesense.forecast import TimeSeries, TrainConfig, train
-
-window, hidden, dense, pairs, *widths = (int(a) for a in sys.argv[1:])
-
-def epoch_time(channels):
-    rng = np.random.default_rng(channels)
-    values = rng.standard_normal((160, channels))
-    ts = TimeSeries(0.5 * np.arange(160), values)
-    cfg = TrainConfig(window=window, epochs=2, hidden_dim=hidden,
-                      dense_dim=dense, dropout=0.0, learning_rate=1e-4, seed=0)
-    t0 = time.perf_counter()
-    train(ts, cfg)
-    return (time.perf_counter() - t0) / cfg.epochs
-
-for channels in widths:
-    epoch_time(channels)
-times = {channels: [] for channels in widths}
-for _ in range(pairs):
-    for channels in widths:
-        times[channels].append(epoch_time(channels))
-print(json.dumps(times))
-"""
-
-
-def lstm_train_macs(channels: int, window: int, hidden: int, dense: int) -> int:
+def lstm_train_macs(channels: int) -> int:
     """Multiply-adds per training window of `_forward_batch` plus
-    `_backward_batch`: the input projection and its weight gradient
-    (8TsH), the recurrent products of the forward pass and of BPTT and
-    the dWh GEMM after it (12TH^2), then the dense and output layers."""
-    return (8 * window * channels * hidden + 12 * window * hidden ** 2
-            + 3 * hidden * dense + 3 * dense * channels)
+    `_backward_batch` at the script's sizes: the input projection and its
+    weight gradient (8TsH), the recurrent products of the forward pass and
+    of BPTT and the dWh GEMM after it (12TH^2), then the dense and output
+    layers."""
+    T, H, D = timing_comparison.WINDOW, timing_comparison.HIDDEN, timing_comparison.DENSE
+    return 8 * T * channels * H + 12 * T * H ** 2 + 3 * H * D + 3 * D * channels
 
 
 def test_criterion_6_training_cost_scaling(report):
@@ -229,39 +169,34 @@ def test_criterion_6_training_cost_scaling(report):
     # recurrent work 12*T*H^2 does not depend on the channel count, so the
     # multiply-add ratio W(2000)/W(10) = 113.0M / 10.4M = 10.9x is a ceiling
     # no implementation can beat; the channel-independent gate exp/tanh
-    # work, which W leaves out, lowers the real ratio further.  On a 2-core
-    # host (numpy 2.4.6, OpenBLAS 0.3.31) the warm single-thread ratio read
-    # 4.8-5.7x as the minimum of five pairs in six fresh processes, so the
-    # bound is 4x: below every reading and well below the ceiling.  Since
-    # training runs on a reused time-major workspace with the weight
-    # gradients batched over time, which cuts the channel-independent
-    # per-step work, the same reading on the same host is 7.8-8.9x.  With
-    # the input projection and dWh on a helper thread, which the wide run
-    # gains more from, two readings gave 7.9x and 8.1x.
-    window, hidden, dense, pairs = 50, 128, 128, 5
+    # work, which W leaves out, lowers the real ratio further.  The bound
+    # is 4x: below the lowest warm single-thread reading on a 2-core host
+    # (4.8x) and well below the ceiling.
     narrow, wide = 10, 2000
     bound = 4.0
-    model_ratio = (lstm_train_macs(wide, window, hidden, dense)
-                   / lstm_train_macs(narrow, window, hidden, dense))
+    model_ratio = lstm_train_macs(wide) / lstm_train_macs(narrow)
     assert bound < model_ratio, (
         f"bound {bound}x exceeds the multiply-add ceiling {model_ratio:.1f}x")
 
+    # a child interpreter pinned to one BLAS thread, so the ratio does not
+    # depend on the host's core count or on which tests warmed this
+    # process up
     src = os.path.dirname(os.path.dirname(os.path.abspath(sparsesense.__file__)))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(
-                   filter(None, [src, os.environ.get("PYTHONPATH")])))
-    args = [str(v) for v in (window, hidden, dense, pairs, narrow, wide)]
-    child = subprocess.run([sys.executable, "-c", TRAINING_COST_CHILD, *args],
-                           env=env, capture_output=True, text=True,
-                           timeout=600)
+                   filter(None, [src, str(SCRIPTS), os.environ.get("PYTHONPATH")])))
+    code = ("import json, timing_comparison as t; "
+            f"print(json.dumps(t.epoch_times([{narrow}, {wide}])))")
+    child = subprocess.run([sys.executable, "-c", code], env=env,
+                           capture_output=True, text=True, timeout=600)
     assert child.returncode == 0, child.stderr
     times = json.loads(child.stdout)
     ratio = min(times[str(wide)]) / min(times[str(narrow)])
     report(6, f"per-epoch cost ratio {wide} vs {narrow} channels >= {bound:g}x",
            ratio >= bound,
            f"measured {ratio:.1f}x, multiply-add ceiling {model_ratio:.1f}x, "
-           f"min of {pairs} warm pairs on 1 BLAS thread")
+           f"min of {timing_comparison.REPEATS} warm pairs on 1 BLAS thread")
 
 
 def test_criterion_7_scenario_generator_statistics(report):
@@ -299,27 +234,8 @@ def test_criterion_7_scenario_generator_statistics(report):
            ", ".join(details))
 
 
-DESK_SCALE_CFG = """\
-synth.m = 2000
-synth.n = 1000
-synth.rank = 10
-synth.scenario = 2
-synth.n_outliers = 100
-synth.seed = 0
-osp.r = 10
-osp.s = 10
-train.window = 50
-train.horizon = 100
-train.holdout = 100
-train.epochs = 3
-train.seed = 0
-"""
-
-
 def test_criterion_8_end_to_end_determinism(tmp_path, report):
-    cfg_path = tmp_path / "desk.cfg"
-    cfg_path.write_text(DESK_SCALE_CFG)
-    cfg = parse_config(cfg_path)
+    cfg = parse_config(ROOT / "configs" / "desk_scale.cfg")
     manifests = []
     runtimes = []
     for run in range(2):

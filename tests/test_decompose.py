@@ -14,21 +14,7 @@ from sparsesense.decompose import (
 )
 from sparsesense.errors import BoundsError, ValidationError
 from sparsesense.linalg import singular_value_threshold, svd_topk
-from sparsesense.rng import Xoshiro256pp
 from sparsesense.synth import GroundTruthSpec, Scenario, ScenarioSpec, apply_scenario, generate_ground_truth
-
-
-def low_rank_plus_sparse(seed, m=200, n=100, rank=5, frac=0.05, scale=10.0):
-    """Seeded ground-truth instance: rank-`rank` Gaussian product plus
-    sparse +-scale*std spikes on a known support."""
-    rng = Xoshiro256pp(seed)
-    L0 = rng.normals(m * rank).reshape(m, rank) @ rng.normals(rank * n).reshape(rank, n)
-    k = int(frac * m * n)
-    support = rng.sample_without_replacement(m * n, k)
-    S0 = np.zeros(m * n)
-    for i in support:
-        S0[i] = (scale if rng.coin() else -scale) * L0.std()
-    return L0, S0.reshape(m, n), support
 
 
 # ----------------------------------------------------------------------
@@ -72,7 +58,7 @@ def test_rpca_zero_matrix_fixed_point():
     assert not res.L.any() and not res.S.any()
 
 
-def test_rpca_recovers_constructed_ground_truth():
+def test_rpca_recovers_constructed_ground_truth(low_rank_plus_sparse):
     L0, S0, support = low_rank_plus_sparse(seed=123)
     res = rpca(L0 + S0, RpcaConfig(tol=1e-7, max_iters=500))
     assert res.converged
@@ -80,14 +66,14 @@ def test_rpca_recovers_constructed_ground_truth():
     assert np.linalg.norm(res.S - S0) / np.linalg.norm(S0) <= 1e-2
 
 
-def test_rpca_support_recovery():
+def test_rpca_support_recovery(low_rank_plus_sparse):
     L0, S0, support = low_rank_plus_sparse(seed=321)
     res = rpca(L0 + S0)
     hit = np.mean(np.abs(res.S.ravel()[support]) > 1e-6)
     assert hit >= 0.95
 
 
-def test_rpca_residual_history_and_convergence_flag():
+def test_rpca_residual_history_and_convergence_flag(low_rank_plus_sparse):
     L0, S0, _ = low_rank_plus_sparse(seed=7)
     cfg = RpcaConfig(tol=1e-7)
     res = rpca(L0 + S0, cfg)
@@ -99,7 +85,7 @@ def test_rpca_residual_history_and_convergence_flag():
     assert capped.residual_history[-1] > 1e-12
 
 
-def test_rpca_deterministic_history():
+def test_rpca_deterministic_history(low_rank_plus_sparse):
     L0, S0, _ = low_rank_plus_sparse(seed=55)
     X = L0 + S0
     assert rpca(X).residual_history == rpca(X.copy()).residual_history
@@ -136,7 +122,7 @@ def test_rpca_rejects_bad_inputs():
         rpca(np.eye(3), RpcaConfig(lam=-1.0))
 
 
-def test_rpca_fixed_penalty_parameters_accepted():
+def test_rpca_fixed_penalty_parameters_accepted(low_rank_plus_sparse):
     # a fixed sparsity weight, as opposed to the auto default; the penalty
     # schedule has no parameter to fix
     L0, S0, _ = low_rank_plus_sparse(seed=9, m=60, n=40, rank=2)
@@ -146,7 +132,7 @@ def test_rpca_fixed_penalty_parameters_accepted():
         RpcaConfig(mu=1e-5)
 
 
-def test_rpca_capped_penalty_schedule_and_kept_counts():
+def test_rpca_capped_penalty_schedule_and_kept_counts(low_rank_plus_sparse):
     L0, S0, _ = low_rank_plus_sparse(seed=11, m=120, n=80, rank=3)
     X = L0 + S0
     res = rpca(X)
@@ -164,7 +150,7 @@ def test_rpca_capped_penalty_schedule_and_kept_counts():
     assert res.kept_history[-1] == 3
 
 
-def test_rpca_mu_stops_at_the_cap(monkeypatch):
+def test_rpca_mu_stops_at_the_cap(monkeypatch, low_rank_plus_sparse):
     monkeypatch.setattr(decompose, "MU_CAP", 5.0)
     L0, S0, _ = low_rank_plus_sparse(seed=12, m=60, n=40, rank=2)
     res = rpca(L0 + S0, RpcaConfig(tol=1e-300, max_iters=30))
@@ -175,7 +161,8 @@ def test_rpca_mu_stops_at_the_cap(monkeypatch):
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(30, 90), n=st.integers(20, 70),
        rank=st.integers(1, 4), frac=st.floats(0.0, 0.1))
-def test_rpca_converged_means_small_residual_and_low_rank(seed, m, n, rank, frac):
+def test_rpca_converged_means_small_residual_and_low_rank(low_rank_plus_sparse,
+                                                          seed, m, n, rank, frac):
     # the fault a growing penalty invites: `converged` reported on a
     # high-rank L whose primal residual is small only because mu is large
     L0, S0, _ = low_rank_plus_sparse(seed, m=m, n=n, rank=rank, frac=frac)
@@ -194,7 +181,8 @@ def test_rpca_converged_means_small_residual_and_low_rank(seed, m, n, rank, frac
 @example(seed=4802, m=111, n=84, rank=4, frac=0.047855307804101)
 # 0.001 gives an error of 1.17e-7 here against 9.6e-8, both below the floor
 @example(seed=42, m=42, n=30, rank=1, frac=0.01839943395483918)
-def test_rpca_inexact_svt_keeps_iterations_and_accuracy(seed, m, n, rank, frac):
+def test_rpca_inexact_svt_keeps_iterations_and_accuracy(low_rank_plus_sparse,
+                                                        seed, m, n, rank, frac):
     # the same input cleaned with every SVT solved to TOPK_RTOL (factor 0)
     # and to SVT_RTOL_FACTOR times the previous primal residual
     L0, S0, _ = low_rank_plus_sparse(seed, m=m, n=n, rank=rank, frac=frac)
@@ -251,7 +239,7 @@ def test_clean_zero():
     assert not rpca(np.zeros((4, 4))).L.any()
 
 
-def test_clean_plus_sparse_reproduces_input():
+def test_clean_plus_sparse_reproduces_input(low_rank_plus_sparse):
     L0, S0, _ = low_rank_plus_sparse(seed=77)
     X = L0 + S0
     cfg = RpcaConfig(tol=1e-7)

@@ -289,6 +289,7 @@ def test_cli_training_divergence_exit_3(workspace, tmp_path, capsys):
     "rpca.mu = 1e-5",
     "rpca.lambda = nan",
     "train.learning_rate = nan",
+    "train.learning_rate = inf",
     "osp.s = 1",                  # below osp.r = 2
     "train.interpolate = maybe",
     "train.window = 0",
