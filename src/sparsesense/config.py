@@ -56,7 +56,7 @@ class RunConfig:
     def validate(self) -> None:
         gt = self.ground_truth
         gt.validate()
-        self.scenario.validate(gt.m, gt.n)
+        self.scenario.validate(gt.m)
         self.rpca.validate()
         self.train.validate()
         if min(gt.seed, self.scenario.seed) < 0:
@@ -102,15 +102,17 @@ def _auto(raw: str) -> float | None:
     return None if raw == "auto" else float(raw)
 
 
-def _mu(raw: str) -> None:
-    if raw != "auto":
-        raise ValidationError(f"config key 'rpca.mu': bad value '{raw}'; only 'auto' is "
-                              f"accepted, mu_0 is always {MU_SCALE} / ||X||_2")
+def _retired(key: str, value: str, why: str):
+    def cast(raw: str) -> None:
+        if raw != value:
+            raise ValidationError(f"config key '{key}': bad value '{raw}'; only "
+                                  f"'{value}' is accepted, {why}")
+    return cast
 
 
 # key -> (cast, target, ...): a target is a RunConfig field, or a section
 # field as "section.field", or a tuple entry as "section.field.index";
-# rpca.mu has none and parses only so that configs spelling out 'auto' do
+# a retired key has none and parses only its one value, which configs spell out
 KEYS = {
     "synth.m": (int, "ground_truth.m"), "synth.n": (int, "ground_truth.n"),
     "synth.rank": (int, "ground_truth.rank"),
@@ -127,9 +129,10 @@ KEYS = {
     "synth.corruption_fraction": (float, "scenario.corruption_fraction"),
     "synth.corruption_min": (float, "scenario.corruption_interval.0"),
     "synth.corruption_max": (float, "scenario.corruption_interval.1"),
-    "synth.per_frame": (_bool, "scenario.per_frame"),
+    "synth.per_frame": (_retired("synth.per_frame", "true", "each frame has its own substreams"),),
     "synth.dt": (float, "dt"), "synth.time_jitter": (float, "time_jitter"),
-    "rpca.lambda": (_auto, "rpca.lam"), "rpca.mu": (_mu,),
+    "rpca.lambda": (_auto, "rpca.lam"),
+    "rpca.mu": (_retired("rpca.mu", "auto", f"mu_0 is always {MU_SCALE} / ||X||_2"),),
     "rpca.max_iters": (int, "rpca.max_iters"), "rpca.tol": (float, "rpca.tol"),
     "osp.r": (int, "r"), "osp.s": (int, "s"),
     "train.window": (int, "train.window"), "train.horizon": (int, "train.horizon"),

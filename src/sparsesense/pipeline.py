@@ -90,12 +90,9 @@ def cmd_synth(cfg: RunConfig, out: Path, times: np.ndarray | None = None) -> dic
     if sc_spec.scenario is synth.Scenario.SUPERPOSITION:
         # the composed mask is the union of the per-component masks; each
         # component marks a fixed number of distinct positions per frame
-        # (the whole matrix is one frame when per_frame is off)
-        rows, frames = ((gt_spec.m, gt_spec.n) if sc_spec.per_frame
-                        else (gt_spec.m * gt_spec.n, 1))
         metrics["component_masked"] = {
-            "noise": 0, "outliers": sc_spec.n_outliers * frames,
-            "corruptions": round(sc_spec.corruption_fraction * rows) * frames}
+            "noise": 0, "outliers": sc_spec.n_outliers * gt_spec.n,
+            "corruptions": round(sc_spec.corruption_fraction * gt_spec.m) * gt_spec.n}
     return _write_report(out, "synth", (time.perf_counter() - t0) * 1e3, metrics,
                          [TRUTH_FILE, PERTURBED_FILE, MASK_FILE, TIMESTAMPS_FILE])
 
@@ -148,8 +145,12 @@ def _training_span(cfg: RunConfig, times: np.ndarray,
 
 def _training_series(cfg: RunConfig, out: Path) -> forecast.TimeSeries:
     """The measurement series the train and predict stages see."""
-    return _training_span(cfg, matio.read_matrix_csv(out / TIMESTAMPS_FILE)[:, 0],
-                          matio.read_matrix(out / MEASUREMENTS_FILE).T)
+    times = matio.read_matrix_csv(out / TIMESTAMPS_FILE)[:, 0]
+    values = matio.read_matrix(out / MEASUREMENTS_FILE).T
+    if times.shape[0] != values.shape[0]:
+        raise ValidationError(f"{out / TIMESTAMPS_FILE} has {times.shape[0]} rows, but "
+                              f"{out / MEASUREMENTS_FILE} has {values.shape[0]} frames")
+    return _training_span(cfg, times, values)
 
 
 def cmd_train(cfg: RunConfig, out: Path) -> dict:

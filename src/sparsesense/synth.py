@@ -66,14 +66,13 @@ class GroundTruthSpec:
 class ScenarioSpec:
     scenario: Scenario = Scenario.NOISE
     noise_std: float = 4.0
-    n_outliers: int = 100
+    n_outliers: int = 100      # of the m entries of a frame
     outlier_ranges: tuple[tuple[float, float], tuple[float, float]] = ((30.0, 40.0), (-40.0, -30.0))
     corruption_fraction: float = 0.10
     corruption_interval: tuple[float, float] = (-15.0, 30.0)
     seed: int = 0
-    per_frame: bool = True   # redraw perturbed positions for every time column
 
-    def validate(self, m: int, n: int) -> None:
+    def validate(self, m: int) -> None:
         if not 0.0 <= self.corruption_fraction <= 1.0:
             raise ValidationError("corruption_fraction must lie in [0, 1]")
         for lo, hi in (*self.outlier_ranges, self.corruption_interval):
@@ -84,9 +83,9 @@ class ScenarioSpec:
                                       f"width hi - lo")
         if self.n_outliers < 0:
             raise ValidationError("n_outliers must be nonnegative")
-        limit = m if self.per_frame else m * n
-        if self.scenario in (Scenario.OUTLIERS, Scenario.SUPERPOSITION) and self.n_outliers > limit:
-            raise ValidationError(f"n_outliers {self.n_outliers} exceeds {limit} available entries")
+        if self.scenario in (Scenario.OUTLIERS, Scenario.SUPERPOSITION) and self.n_outliers > m:
+            raise ValidationError(f"n_outliers {self.n_outliers} exceeds the {m} entries "
+                                  f"of a frame")
         if not (self.noise_std >= 0 and math.isfinite(self.noise_std * NORMAL_BOUND)):
             raise ValidationError(f"noise_std must be nonnegative, and finite times the "
                                   f"largest normal draw {NORMAL_BOUND:.4f}")
@@ -131,31 +130,24 @@ def apply_scenario(X, spec: ScenarioSpec) -> tuple[np.ndarray, np.ndarray]:
     """
     X = validate_matrix(X)
     m, n = X.shape
-    spec.validate(m, n)
+    spec.validate(m)
     sc = Scenario(spec.scenario)
-    if spec.per_frame:
-        # one substream per frame, all drawn at once as the lanes of a block
-        frames = np.arange(n)
-        shape, lanes = (m, n), (frames,)
-    else:
-        # one stream over the matrix flattened row by row
-        frames, shape, lanes = 0, (m * n,), ()
-    out = X.reshape(shape).copy()
-    mask = np.zeros(shape, dtype=bool)
-    rows = shape[0]
+    frames = np.arange(n)    # one substream per frame, as the lanes of one generator
+    out = X.copy()
+    mask = np.zeros((m, n), dtype=bool)
 
     if sc in (Scenario.NOISE, Scenario.SUPERPOSITION):
         rng = substream(spec.seed, 1 * _COMPONENT_STRIDE + frames)
-        out += rng.normals(rows, std=spec.noise_std)
+        out += rng.normals(m, std=spec.noise_std)
     if sc in (Scenario.OUTLIERS, Scenario.SUPERPOSITION):
         rng = substream(spec.seed, 2 * _COMPONENT_STRIDE + frames)
-        at = (rng.sample_without_replacement(rows, spec.n_outliers), *lanes)
+        at = (rng.sample_without_replacement(m, spec.n_outliers), frames)
         out[at] = rng.coin_uniforms(spec.n_outliers, *spec.outlier_ranges)
         mask[at] = True
     if sc in (Scenario.CORRUPTIONS, Scenario.SUPERPOSITION):
         rng = substream(spec.seed, 3 * _COMPONENT_STRIDE + frames)
-        k = round(spec.corruption_fraction * rows)
-        at = (rng.sample_without_replacement(rows, k), *lanes)
+        k = round(spec.corruption_fraction * m)
+        at = (rng.sample_without_replacement(m, k), frames)
         out[at] += rng.uniform(*spec.corruption_interval, k)
         mask[at] = True
-    return out.reshape(m, n), mask.reshape(m, n)
+    return out, mask

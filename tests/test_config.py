@@ -60,12 +60,10 @@ def test_scenario_spec_fields(tmp_path):
     cfg = parse_config(write_cfg(tmp_path, """
 synth.scenario = 2
 synth.n_outliers = 7
-synth.per_frame = false
 """))
     spec = cfg.scenario
     assert spec.scenario is Scenario.OUTLIERS
     assert spec.n_outliers == 7
-    assert spec.per_frame is False
     assert spec.outlier_ranges == ((30.0, 40.0), (-40.0, -30.0))
 
 
@@ -80,15 +78,25 @@ synth.corruption_max = 20
 
 
 def test_rpca_config_auto_and_explicit(tmp_path):
-    rc = parse_config(write_cfg(tmp_path, "rpca.lambda = auto\nrpca.mu = auto\n")).rpca
+    rc = parse_config(write_cfg(tmp_path, "rpca.lambda = auto\n")).rpca
     assert rc.lam is None
     assert rc.max_iters == 500 and rc.tol == 1e-7
     rc = parse_config(write_cfg(tmp_path, "rpca.lambda = 0.01\nrpca.tol = 1e-6\n")).rpca
     assert rc.lam == 0.01 and rc.tol == 1e-6
-    # mu_0 is not a setting: any number is refused, naming the key
-    for value in ("1e-5", "inf", "1e-320", "1e300", "-1"):
-        with pytest.raises(ValidationError, match="rpca.mu"):
-            parse_config(write_cfg(tmp_path, f"rpca.mu = {value}\n"))
+
+
+@pytest.mark.parametrize("key, value, refused", [
+    # mu_0 is not a setting: any number is refused
+    ("rpca.mu", "auto", ("1e-5", "inf", "1e-320", "1e300", "-1")),
+    # every scenario perturbs frame by frame
+    ("synth.per_frame", "true", ("false", "0", "no", "off", "1", "True")),
+])
+def test_retired_key_parses_only_its_one_value(tmp_path, key, value, refused):
+    assert parse_config(write_cfg(tmp_path, f"{key} = {value}\n")) == \
+        parse_config(write_cfg(tmp_path, ""))
+    for text in refused:
+        with pytest.raises(ValidationError, match=key):
+            parse_config(write_cfg(tmp_path, f"{key} = {text}\n"))
 
 
 def test_shipped_configs_are_found():

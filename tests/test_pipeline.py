@@ -110,24 +110,18 @@ def test_synth_outputs_and_report(workspace):
 
 
 def test_superposition_report_lists_component_masks(tmp_path):
-    # per frame: 6 outliers and round(0.10 * 60) corruptions in each of the
-    # 80 frames; one flattened draw: 6 and round(0.10 * 60 * 80) in total
-    for per_frame, outliers, corruptions in ((True, 6 * 80, round(0.10 * 60) * 80),
-                                             (False, 6, round(0.10 * 60 * 80))):
-        cfg_path = tmp_path / "run.cfg"
-        cfg_path.write_text(SMALL_CFG.replace("synth.scenario = 2",
-                                              "synth.scenario = 4")
-                            + f"synth.per_frame = {str(per_frame).lower()}\n")
-        cfg = parse_config(cfg_path)
-        report = pipeline.cmd_synth(cfg, tmp_path)
-        comp = report["metrics"]["component_masked"]
-        assert set(comp) == {"noise", "outliers", "corruptions"}
-        assert comp["noise"] == 0          # additive noise is never masked
-        assert comp["outliers"] == outliers
-        assert comp["corruptions"] == corruptions
-        # composed mask can be smaller than the sum when components overlap
-        assert max(comp.values()) <= report["metrics"]["masked"] \
-            <= comp["outliers"] + comp["corruptions"]
+    # 6 outliers and round(0.10 * 60) corruptions in each of the 80 frames
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(SMALL_CFG.replace("synth.scenario = 2", "synth.scenario = 4"))
+    report = pipeline.cmd_synth(parse_config(cfg_path), tmp_path)
+    comp = report["metrics"]["component_masked"]
+    assert set(comp) == {"noise", "outliers", "corruptions"}
+    assert comp["noise"] == 0          # additive noise is never masked
+    assert comp["outliers"] == 6 * 80
+    assert comp["corruptions"] == round(0.10 * 60) * 80
+    # composed mask can be smaller than the sum when components overlap
+    assert max(comp.values()) <= report["metrics"]["masked"] \
+        <= comp["outliers"] + comp["corruptions"]
 
 
 def test_rerun_manifests_byte_identical(workspace, tmp_path):
@@ -287,6 +281,10 @@ def test_cli_training_divergence_exit_3(workspace, tmp_path, capsys):
     "rpca.mu = 1e-320",
     "rpca.mu = 1e300",
     "rpca.mu = 1e-5",
+    # synth.per_frame is retired: every scenario perturbs frame by frame
+    "synth.per_frame = false",
+    "synth.per_frame = 0",
+    "synth.per_frame = no",
     "rpca.lambda = nan",
     "train.learning_rate = nan",
     "train.learning_rate = inf",
@@ -374,6 +372,18 @@ def test_cli_bad_timestamps_exit_2(workspace, tmp_path, capsys, bad_row):
     assert cli.main(["train", "--config", str(interp), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("stage", ["train", "predict"])
+@pytest.mark.parametrize("rows", [70, 84])  # fewer and more than the 80 frames
+def test_cli_timestamps_not_one_per_frame_exit_2(workspace, tmp_path, capsys, stage, rows):
+    cfg_path, _, out = mutable_copy(workspace, tmp_path)
+    path = out / pipeline.TIMESTAMPS_FILE
+    matio.write_matrix_csv(0.5 * np.arange(rows, dtype=np.float64)[:, None], path)
+    assert cli.main([stage, "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert f"{rows} rows" in err and "80 frames" in err
 
 
 @pytest.mark.parametrize("stage", ["train", "predict"])

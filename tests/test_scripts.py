@@ -1,7 +1,8 @@
 """Each script under scripts/ still imports and parses its arguments.
 
-Nothing imports the scripts, so a rename in the package would otherwise
-break them silently."""
+Acceptance criteria 5 and 6 import two of the scripts and run their
+functions, but only these tests run each script's `--help`, so a rename
+that breaks a script's argument parsing would otherwise go unnoticed."""
 
 import os
 import subprocess

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sparsesense.errors import BoundsError, ValidationError
 from sparsesense.rng import Xoshiro256pp
@@ -99,10 +100,21 @@ def test_scenario_deterministic(truth):
     np.testing.assert_array_equal(mask1, mask2)
 
 
-def test_scenario_whole_matrix_mode(truth):
-    spec = ScenarioSpec(scenario=Scenario.OUTLIERS, seed=2, per_frame=False)
-    out, mask = apply_scenario(truth, spec)
-    assert mask.sum() == spec.n_outliers
+@settings(max_examples=40, deadline=None)
+@given(scenario=st.sampled_from(Scenario),
+       m=st.one_of(st.integers(0, 30).map(lambda h: 2 * h + 1), st.just(1025)),
+       n=st.integers(1, 40), data=st.data())
+def test_leading_frames_are_perturbed_as_in_the_whole_matrix(scenario, m, n, data):
+    # each frame draws from its own substreams, whatever frames follow it;
+    # m = 1025 takes the jumped block draws
+    k = data.draw(st.integers(1, n))
+    spec = ScenarioSpec(scenario=scenario, seed=data.draw(st.integers(0, 2**64 - 1)),
+                        n_outliers=data.draw(st.integers(0, m)))
+    X = generate_ground_truth(GroundTruthSpec(m=m, n=n, rank=1, seed=0))
+    out, mask = apply_scenario(X, spec)
+    out_k, mask_k = apply_scenario(X[:, :k], spec)
+    assert out_k.tobytes() == np.ascontiguousarray(out[:, :k]).tobytes()
+    assert mask_k.tobytes() == np.ascontiguousarray(mask[:, :k]).tobytes()
 
 
 def test_scenario_validation():
@@ -136,42 +148,24 @@ def test_ground_truth_draws_its_scalars_as_one_block(monkeypatch):
 # draws are all covered.
 
 GOLDEN_SCENARIOS = [
-    # scenario, per_frame, seed, n_outliers, corruption_fraction, perturbed, mask
-    (1, True, 5, 7, 0.1,
+    # scenario, seed, n_outliers, corruption_fraction, perturbed, mask
+    (1, 5, 7, 0.1,
      "13f2e8ea3aa371a552352f88f27e8af645e60d051457250bcc7f2e9ce15763fe",
      "2f5372bb195bbbde96712a299a66dbe3b2ac0dfdf028d422a8c5c2c86e7d728c"),
-    (1, False, 5, 7, 0.1,
-     "c6ad8adf6062c6779f9e94cb1b9c7f62ea382daad53e87f7e69d1b799c6aaea3",
-     "2f5372bb195bbbde96712a299a66dbe3b2ac0dfdf028d422a8c5c2c86e7d728c"),
-    (2, True, 5, 7, 0.1,
+    (2, 5, 7, 0.1,
      "e00a5fe7297ad98ba7bbccc9d815884d3632ed3d798e672c43c3b17b1bd836f5",
      "82eb71dff26e2c0a2c5f0bb44a3e3b805cd9bfe08cb2231926dd8afea5e30d1b"),
-    (2, False, 5, 7, 0.1,
-     "614ceac15d8f310e4538ffa10be9893b9120f96f06298f2f7762b7f5a4925a67",
-     "61d159a4207350ebe40dd1f327540f053d9a40bcd127d3bb1e923e6d69b66e93"),
-    (3, True, 5, 7, 0.1,
+    (3, 5, 7, 0.1,
      "35613721bf0063598265f1e581ae0b9c28282380319672a929523cde57d10c4f",
      "1ec797a3c60407de1b8c285a15112dc80bd830fc45879a39703902fed6eee5fd"),
-    (3, False, 5, 7, 0.1,
-     "6f438c3dcc02e8cd2dcedfa3210b1a8b1a7bc94e3f6ee01cfce71d4cb94d0480",
-     "63fbe4fee5574c4848cc3e03e2db3c722d809edec75a71e48f103c0e2f05bd79"),
-    (4, True, 5, 7, 0.1,
+    (4, 5, 7, 0.1,
      "6dcac102dd2db35956bcbedbdee47c7394f1cb3bef92e977a3868a7dc24c59ad",
      "bf767bef1bcd2a08e60413fb839e550f0a8e1ad0ef71687f69c2ec684c6b607e"),
-    (4, False, 5, 7, 0.1,
-     "24a8a59c0b016ea371adc357ad74764b1d2a36ae77445cd2c264134880612169",
-     "03d6b95f164ac0ee908b265d5e8172e707afeef4bbbf560e1cbada3cc4bb477d"),
-    (4, True, 2**64 + 5, 7, 0.1,
+    (4, 2**64 + 5, 7, 0.1,
      "6dcac102dd2db35956bcbedbdee47c7394f1cb3bef92e977a3868a7dc24c59ad",
      "bf767bef1bcd2a08e60413fb839e550f0a8e1ad0ef71687f69c2ec684c6b607e"),
-    (4, False, 2**64 + 5, 7, 0.1,
-     "24a8a59c0b016ea371adc357ad74764b1d2a36ae77445cd2c264134880612169",
-     "03d6b95f164ac0ee908b265d5e8172e707afeef4bbbf560e1cbada3cc4bb477d"),
-    (4, True, 5, 0, 0.0,
+    (4, 5, 0, 0.0,
      "13f2e8ea3aa371a552352f88f27e8af645e60d051457250bcc7f2e9ce15763fe",
-     "2f5372bb195bbbde96712a299a66dbe3b2ac0dfdf028d422a8c5c2c86e7d728c"),
-    (4, False, 5, 0, 0.0,
-     "c6ad8adf6062c6779f9e94cb1b9c7f62ea382daad53e87f7e69d1b799c6aaea3",
      "2f5372bb195bbbde96712a299a66dbe3b2ac0dfdf028d422a8c5c2c86e7d728c"),
 ]
 
@@ -181,12 +175,12 @@ def _sha256(a: np.ndarray) -> str:
 
 
 @pytest.mark.parametrize("case", GOLDEN_SCENARIOS,
-                         ids=lambda c: f"s{c[0]}-{'frame' if c[1] else 'whole'}-seed{c[2]}-k{c[3]}")
+                         ids=lambda c: f"s{c[0]}-frame-seed{c[1]}-k{c[2]}")
 def test_scenario_golden_bytes(case):
-    scenario, per_frame, seed, n_outliers, fraction, want_out, want_mask = case
+    scenario, seed, n_outliers, fraction, want_out, want_mask = case
     truth = generate_ground_truth(GroundTruthSpec(m=61, n=23, rank=3, seed=1))
     out, mask = apply_scenario(truth, ScenarioSpec(
-        scenario=Scenario(scenario), per_frame=per_frame, seed=seed,
+        scenario=Scenario(scenario), seed=seed,
         n_outliers=n_outliers, corruption_fraction=fraction))
     assert (_sha256(out), _sha256(mask)) == (want_out, want_mask)
 
