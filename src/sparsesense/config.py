@@ -143,7 +143,6 @@ KEYS = {
     "train.dense_dim": (int, "train.dense_dim"),
     "train.dropout": (float, "train.dropout"),
     "train.clip_norm": (float, "train.clip_norm"),
-    "train.val_fraction": (float, "train.val_fraction"),
     "train.interpolate": (_bool, "interpolate"), "train.dt": (float, "train_dt"),
     "train.holdout": (int, "holdout"),
     "evaluate.pgm": (_bool, "pgm"),

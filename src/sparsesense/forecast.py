@@ -81,6 +81,9 @@ _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 #: time steps per chunk of a batch's input projection
 _CHUNK = 10
 
+#: the share of windows, the last ones, that `train` holds out of fitting
+_HOLD_OUT = 0.2
+
 
 @dataclass(frozen=True)
 class TimeSeries:
@@ -117,7 +120,6 @@ class TrainConfig:
     dense_dim: int = 128
     dropout: float = 0.2
     clip_norm: float = 5.0     # global gradient-norm cap; 0 switches clipping off
-    val_fraction: float = 0.2
 
     def validate(self) -> None:
         if self.window < 1 or self.horizon < 1:
@@ -128,8 +130,8 @@ class TrainConfig:
             raise ValidationError("dropout must lie in [0, 1)")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValidationError("epochs and batch_size must be positive")
-        if min(self.hidden_dim, self.dense_dim) < 1 or not 0.0 <= self.val_fraction < 1.0:
-            raise ValidationError("need hidden_dim, dense_dim >= 1 and val_fraction in [0, 1)")
+        if min(self.hidden_dim, self.dense_dim) < 1:
+            raise ValidationError("need hidden_dim, dense_dim >= 1")
         if not 0.0 <= self.clip_norm < math.inf:
             raise ValidationError("clip_norm must be finite and nonnegative (0 = off)")
         if self.seed < 0:
@@ -260,6 +262,7 @@ class _Helper:
     def _run(self) -> None:
         while self._ready.acquire() and (fn := self._queue.popleft()) is not None:
             fn()
+            fn = None  # an idle helper keeps no task's arrays alive
 
 
 def _later(helper: _Helper | None, fn):
@@ -565,8 +568,9 @@ class AdamState:
 
 
 def train(ts: TimeSeries, cfg: TrainConfig) -> tuple[LstmModel, list[float]]:
-    """Fit the network on one-step targets; returns the model and the
-    per-epoch training RMSE (de-normalized units).
+    """Fit the network on the one-step targets of the first 1 - _HOLD_OUT
+    of the windows; the rows after them do not reach the model.  Returns
+    the model and the per-epoch training RMSE (de-normalized units).
 
     Deterministic per cfg.seed: weight init, shuffling, and dropout masks
     all come from one seeded generator.  Raises TrainingDivergenceError if
@@ -578,7 +582,7 @@ def train(ts: TimeSeries, cfg: TrainConfig) -> tuple[LstmModel, list[float]]:
     if n < cfg.window + 1:
         raise ValidationError(f"series of length {n} too short for window {cfg.window}")
     n_windows = n - cfg.window
-    n_train = max(1, int(np.ceil((1.0 - cfg.val_fraction) * n_windows)))
+    n_train = max(1, int(np.ceil((1.0 - _HOLD_OUT) * n_windows)))
     # normalization statistics from the rows the training windows can see
     train_rows = values[:n_train + cfg.window]
     mean = train_rows.mean(axis=0)
@@ -587,9 +591,7 @@ def train(ts: TimeSeries, cfg: TrainConfig) -> tuple[LstmModel, list[float]]:
 
     rng = np.random.default_rng(cfg.seed)
     model = init_model(s, cfg, mean, std, rng)
-    normed = model.normalize(values)
-    inputs, targets = make_windows(normed, cfg.window)
-    inputs, targets = inputs[:n_train], targets[:n_train]
+    inputs, targets = make_windows(model.normalize(train_rows), cfg.window)
 
     adam = AdamState(model.params)
     workspace = Workspace(min(cfg.batch_size, n_train), cfg.window, s, cfg.hidden_dim)
@@ -610,6 +612,8 @@ def train(ts: TimeSeries, cfg: TrainConfig) -> tuple[LstmModel, list[float]]:
                 count += sel.size
                 _clip_gradients(grads, cfg.clip_norm)
                 adam.step(model.params, grads, cfg)
+                # the next backward pass would otherwise peak with two gradient sets
+                del grads
             history.append(float(np.sqrt(sq_sum / count * scale2)))
     return model, history
 

@@ -147,25 +147,12 @@ def write_pgm(frame: np.ndarray, path) -> None:
     frame = np.asarray(frame, dtype=np.float64)
     if frame.ndim != 2:
         raise ValidationError("PGM frames must be 2-D")
-    lo, hi = frame.min(), frame.max()
-    scaled = np.round((frame - lo) / (hi - lo) * 255.0) if hi > lo else np.zeros_like(frame)
+    lo, hi = float(frame.min()), float(frame.max())
+    # hi - lo is inf past the float range; halving every term keeps it
+    # finite, and is exact for every value above the subnormals
+    k = 0.5 if math.isinf(hi - lo) else 1.0
+    scaled = (np.round((frame * k - lo * k) / (hi * k - lo * k) * 255.0) if hi > lo
+              else np.zeros_like(frame))
     with atomic_write(path) as fh:
         fh.write(f"P5\n{frame.shape[1]} {frame.shape[0]}\n255\n".encode())
         fh.write(scaled.astype(np.uint8).tobytes())
-
-
-def read_pgm(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    parts = raw.split(b"\n", 3)
-    if parts[0] != b"P5" or len(parts) < 4:
-        raise ValidationError(f"{path}: not a binary PGM file")
-    try:
-        width, height = (int(x) for x in parts[1].split())
-    except ValueError as exc:
-        raise ValidationError(f"{path}: bad PGM size line {parts[1]!r}") from exc
-    if min(width, height) < 1 or len(parts[3]) < width * height:
-        raise ValidationError(f"{path}: PGM header says {width}x{height}, "
-                              f"payload has {len(parts[3])} bytes")
-    return np.frombuffer(parts[3], dtype=np.uint8,
-                         count=width * height).reshape(height, width)

@@ -1,10 +1,11 @@
 """Batch workflow: synth -> clean -> compress -> train -> predict -> evaluate.
 
 Each stage reads only its declared inputs from the output directory,
-writes its artifacts atomically, and drops a JSON report with wall-clock
-timings, stage metrics, and a sha256 manifest of the artifacts it wrote.
-Reports carry timings and are therefore excluded from the manifests, which
-must be byte-identical across reruns with the same config and seed.
+writes its artifacts atomically, and drops a JSON report with its wall
+time (`elapsed_ms`), stage metrics, and a sha256 manifest of the artifacts
+it wrote.  Reports carry that time and are therefore excluded from the
+manifests, which must be byte-identical across reruns with the same
+config and seed.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ HISTORY_FILE = "train_history.csv"
 PRED_SPARSE_FILE = "pred_sparse.rbdm"
 PRED_FULL_FILE = "pred_full.rbdm"
 RMSE_FILE = "rmse_per_step.csv"
-TIMINGS_FILE = "timings.csv"
 
 _STAGES = ("synth", "clean", "compress", "train", "predict", "evaluate")
 
@@ -198,23 +198,11 @@ def cmd_evaluate(cfg: RunConfig, out: Path) -> dict:
     if pred_full.shape[0] != truth.shape[0]:
         raise ValidationError("prediction and truth have different spatial dimension")
     frame = cfg.frame_shape(pred_full.shape[0]) if cfg.pgm else None
-    timing_rows = []
-    for stage in _STAGES[:-1]:
-        report_path = out / f"report_{stage}.json"
-        if report_path.exists():
-            try:
-                with open(report_path) as fh:
-                    timing_rows.append((stage, float(json.load(fh)["elapsed_ms"])))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ValidationError(
-                    f"{report_path}: not a stage report: {exc!r}") from exc
     per_step = [forecast.rmse(pred_full[:, k], truth[:, start + k])
                 for k in range(horizon)]
     matio.write_csv(out / RMSE_FILE, "step,rmse",
                     [(k + 1, v) for k, v in enumerate(per_step)])
     artifacts = [RMSE_FILE]
-    matio.write_csv(out / TIMINGS_FILE, "stage,elapsed_ms", timing_rows)
-
     metrics: dict = {"mean_rmse": float(np.mean(per_step)),
                      "final_rmse": per_step[-1]}
     if cfg.pgm:
@@ -226,7 +214,6 @@ def cmd_evaluate(cfg: RunConfig, out: Path) -> dict:
             matio.write_pgm(pred_full[:, k].reshape(frame),
                             frames_dir / f"pred_{k:04d}.pgm")
             artifacts += [f"frames/truth_{k:04d}.pgm", f"frames/pred_{k:04d}.pgm"]
-    # timings.csv is run-dependent metadata, not part of the manifest
     return _write_report(out, "evaluate", (time.perf_counter() - t0) * 1e3,
                          metrics, artifacts)
 

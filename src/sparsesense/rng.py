@@ -184,15 +184,15 @@ def _jump_rows(record: np.ndarray, out: np.ndarray) -> np.ndarray:
 class Xoshiro256pp:
     """xoshiro256++ with splitmix64 seeding.
 
-    Seeded with an int, it is one stream, a single lane, and its draws are
-    numpy scalars or 1-D arrays.  Seeded with a 1-D uint64 array, it holds
-    one stream (lane) per entry and its block draws gain a trailing lane
-    axis; lane l equals the stream seeded with seed[l], bit for bit.  Every
-    layout keeps its state as a (4, lanes) uint64 array and steps it in
-    numpy uint64 arithmetic, twelve ufunc calls per row (`_xoshiro_rows`):
-    some 6-8 us per row for a few hundred lanes and 9 us for one (numpy's
-    ufuncs cost more per call on one-element arrays; 2-core host, numpy
-    2.4.6).  A block of at least _JUMP_MIN rows on at most _WIDE // 4
+    Seeded with an int, it is one stream, a single lane: its block draws
+    are 1-D arrays and `below` is a numpy scalar.  Seeded with a 1-D
+    uint64 array, it holds one stream (lane) per entry and its block draws
+    gain a trailing lane axis; lane l equals the stream seeded with
+    seed[l], bit for bit.  Every layout keeps its state as a (4, lanes)
+    uint64 array and steps it in numpy uint64 arithmetic, twelve ufunc
+    calls per row (`_xoshiro_rows`): some 6-8 us per row for a few hundred
+    lanes and 9 us for one (numpy's ufuncs cost more per call on
+    one-element arrays; 2-core host, numpy 2.4.6).  A block of at least _JUMP_MIN rows on at most _WIDE // 4
     lanes records its first _DEG states and jumps ahead from them, so that
     the rest of the block steps up to _WIDE lanes wide (`_jump_rows`).
     """
@@ -206,10 +206,6 @@ class Xoshiro256pp:
             state, out = splitmix64_next(state)
             s.append(out)
         self._s = np.stack(s)
-
-    def next_u64(self):
-        """The next raw output: a uint64 scalar, or an array of one per lane."""
-        return self.next_u64s(1)[0]
 
     def next_u64s(self, k: int) -> np.ndarray:
         """The next k raw outputs of every lane, as a (k,) + lanes block."""
@@ -230,20 +226,16 @@ class Xoshiro256pp:
     # ------------------------------------------------------------------
     # derived draws
 
-    def random(self, size: int | None = None):
-        """Uniform doubles in [0, 1) from the top 53 bits: one, or a
-        (size,) + lanes block."""
-        return _unit(self.next_u64() if size is None else self.next_u64s(size))
+    def random(self, size: int) -> np.ndarray:
+        """Uniform doubles in [0, 1) from the top 53 bits, a (size,) +
+        lanes block."""
+        return _unit(self.next_u64s(size))
 
-    def uniform(self, lo: float, hi: float, size: int | None = None):
+    def uniform(self, lo: float, hi: float, size: int) -> np.ndarray:
         return lo + (hi - lo) * self.random(size)
 
-    def coin(self) -> bool:
-        """Fair coin from the top bit."""
-        return bool(self.next_u64() >> 63)
-
-    def coin_uniforms(self, k: int, tails: tuple[float, float],
-                      heads: tuple[float, float]) -> np.ndarray:
+    def either_uniforms(self, k: int, tails: tuple[float, float],
+                        heads: tuple[float, float]) -> np.ndarray:
         """k (coin, uniform) draw pairs per lane, a (k,) + lanes block:
         each value is uniform on the interval `heads` when the top bit of
         its coin is set, else on `tails`."""

@@ -142,7 +142,7 @@ def apply_scenario(X, spec: ScenarioSpec) -> tuple[np.ndarray, np.ndarray]:
     if sc in (Scenario.OUTLIERS, Scenario.SUPERPOSITION):
         rng = substream(spec.seed, 2 * _COMPONENT_STRIDE + frames)
         at = (rng.sample_without_replacement(m, spec.n_outliers), frames)
-        out[at] = rng.coin_uniforms(spec.n_outliers, *spec.outlier_ranges)
+        out[at] = rng.either_uniforms(spec.n_outliers, *spec.outlier_ranges)
         mask[at] = True
     if sc in (Scenario.CORRUPTIONS, Scenario.SUPERPOSITION):
         rng = substream(spec.seed, 3 * _COMPONENT_STRIDE + frames)

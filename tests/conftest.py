@@ -12,8 +12,8 @@ def _low_rank_plus_sparse(seed, m=200, n=100, rank=5, frac=0.05, scale=10.0):
     k = int(frac * m * n)
     support = rng.sample_without_replacement(m * n, k)
     S0 = np.zeros(m * n)
-    for i in support:
-        S0[i] = (scale if rng.coin() else -scale) * L0.std()
+    # one sign per support entry, in order, from the top bit of a draw
+    S0[support] = np.where(rng.next_u64s(k) >> 63, scale, -scale) * L0.std()
     return L0, S0.reshape(m, n), support
 
 

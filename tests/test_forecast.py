@@ -4,6 +4,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+import weakref
 from functools import partial
 
 import numpy as np
@@ -634,6 +635,61 @@ def test_train_divergence_raises():
     cfg = small_cfg(window=10, epochs=50, learning_rate=1e200, clip_norm=0.0)
     with pytest.raises(TrainingDivergenceError):
         train(ts, cfg)
+
+
+def model_bytes(model):
+    return [a.tobytes() for a in (model.norm_mean, model.norm_std,
+                                  *(model.params[k] for k in forecast._PARAM_ORDER))]
+
+
+@settings(max_examples=25, deadline=None)
+@given(window=st.integers(1, 8), extra=st.integers(5, 40), s=st.integers(1, 3),
+       batch=st.integers(1, 8), dropout=st.sampled_from([0.0, 0.3]),
+       scale=st.sampled_from([1e-3, 1.0, 1e6]), seed=st.integers(0, 2**32 - 1))
+def test_train_never_reads_the_held_out_rows(window, extra, s, batch, dropout, scale, seed):
+    # the rows after the last fitted window's target are the training
+    # hold-out: no value there may reach the model or its history
+    n = window + extra
+    n_train = max(1, math.ceil((1.0 - forecast._HOLD_OUT) * extra))
+    first_unread = n_train + window
+    assert first_unread < n
+    rng = np.random.default_rng(seed)
+    t = np.arange(n) * 0.5
+    values = rng.standard_normal((n, s))
+    cfg = small_cfg(window=window, epochs=2, hidden_dim=4, dense_dim=3,
+                    batch_size=batch, dropout=dropout, seed=seed)
+    model, history = train(TimeSeries(t, values), cfg)
+
+    changed = values.copy()
+    at = rng.random((n - first_unread, s)) < 0.5
+    at[rng.integers(at.shape[0]), rng.integers(s)] = True
+    changed[first_unread:][at] = scale * rng.standard_normal(at.sum())
+    model2, history2 = train(TimeSeries(t, changed), cfg)
+    assert history2 == history
+    assert model_bytes(model2) == model_bytes(model)
+
+    # the row before them is the last target, and it does reach the model
+    changed[first_unread - 1] += 1.0
+    assert train(TimeSeries(t, changed), cfg)[1] != history
+
+
+@pytest.mark.parametrize("window", [8, 50])   # at 8 <= _CHUNK the helper's last task is dWh's
+def test_train_holds_one_gradient_set_at_a_time(monkeypatch, window):
+    # the previous batch's gradients are gone before the next backward pass
+    alive, last = [], []
+    backward = forecast._backward_batch
+
+    def watched(*args, **kwargs):
+        alive.extend(ref() is not None for ref in last)
+        grads = backward(*args, **kwargs)
+        last[:] = [weakref.ref(g) for g in grads.values()]
+        return grads
+
+    monkeypatch.setattr(forecast, "_backward_batch", watched)
+    n = 200
+    ts = TimeSeries(np.arange(n) * 0.5, np.random.default_rng(0).standard_normal((n, 3)))
+    train(ts, small_cfg(window=window, epochs=2, batch_size=16))
+    assert alive and not any(alive)
 
 
 def test_train_too_short_series():

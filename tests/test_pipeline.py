@@ -69,7 +69,7 @@ def test_run_all_produces_every_artifact(workspace):
         pipeline.TIMESTAMPS_FILE, pipeline.CLEAN_L_FILE, pipeline.CLEAN_S_FILE,
         pipeline.RESIDUALS_FILE, pipeline.BASIS_FILE, pipeline.MEASUREMENTS_FILE,
         pipeline.MODEL_FILE, pipeline.HISTORY_FILE, pipeline.PRED_SPARSE_FILE,
-        pipeline.PRED_FULL_FILE, pipeline.RMSE_FILE, pipeline.TIMINGS_FILE,
+        pipeline.PRED_FULL_FILE, pipeline.RMSE_FILE,
     ]
     for name in expected:
         assert (out / name).exists(), name
@@ -177,14 +177,6 @@ def test_evaluate_zero_error_on_perfect_prediction(workspace, tmp_path):
     assert not per_step[:, 1].any()
 
 
-def test_evaluate_writes_stage_timings(workspace):
-    _, _, out, _ = workspace
-    rows = (out / pipeline.TIMINGS_FILE).read_text().splitlines()
-    assert rows[0] == "stage,elapsed_ms"
-    assert [r.split(",")[0] for r in rows[1:]] == [
-        "synth", "clean", "compress", "train", "predict"]
-
-
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", [3, 2**64 + 3])  # seeds are masked to 64 bits
 def test_sample_times_golden_bytes(seed):
@@ -232,10 +224,11 @@ def test_cli_import_loads_neither_concurrent_futures_nor_logging():
 
 def test_cli_unknown_config_key_exit_2(tmp_path, capsys):
     cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text("synth.bogus = 1\n")
-    assert cli.main(["synth", "--config", str(cfg_path),
-                     "--out", str(tmp_path)]) == 2
-    assert "error:" in capsys.readouterr().err
+    for key in ("synth.bogus", "train.val_fraction"):   # the second was a key once
+        cfg_path.write_text(f"{key} = 0.1\n")
+        assert cli.main(["synth", "--config", str(cfg_path),
+                         "--out", str(tmp_path)]) == 2
+        assert f"error: {cfg_path}:1: unknown key '{key}'" in capsys.readouterr().err
 
 
 def test_cli_invalid_input_exit_2_and_no_partial_output(tmp_path):
@@ -297,6 +290,7 @@ def test_cli_training_divergence_exit_3(workspace, tmp_path, capsys):
     "train.clip_norm = nan",
     "train.clip_norm = -1",
     "evaluate.baseline = x",      # no longer a key
+    "train.val_fraction = 0.1",   # no longer a key: train holds out a fixed 20 %
     "synth.seed = -1",
     "train.seed = -1",
     "evaluate.pgm = true\nevaluate.frame_width = 7",   # 7 does not divide m = 60
@@ -410,13 +404,20 @@ def test_cli_missing_input_exit_4(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", ['{"stage": "train", "elapsed', "{}"])
-def test_cli_evaluate_bad_stage_report_exit_2(workspace, tmp_path, capsys, text):
+@pytest.mark.parametrize("text", ['{"stage": "train", "elapsed', "{}", None])
+def test_cli_evaluate_reads_no_earlier_report(workspace, tmp_path, text):
+    # evaluate's inputs are the prediction and the truth; the other stages'
+    # reports, missing (None) or malformed, change nothing it writes
     cfg_path, _, out = mutable_copy(workspace, tmp_path)
-    (out / "report_train.json").write_text(text)
-    assert cli.main(["evaluate", "--config", str(cfg_path), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "report_train.json" in err and "Traceback" not in err
+    for stage in ("synth", "clean", "compress", "train", "predict"):
+        report = out / f"report_{stage}.json"
+        report.unlink()
+        if text is not None:
+            report.write_text(text)
+    (out / pipeline.RMSE_FILE).unlink()
+    assert cli.main(["evaluate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    rmse = (out / pipeline.RMSE_FILE).read_bytes()
+    assert rmse == (workspace[2] / pipeline.RMSE_FILE).read_bytes()
 
 
 def test_cli_evaluate_truth_shorter_than_holdout_exit_2(workspace, tmp_path, capsys):
@@ -459,14 +460,14 @@ def test_cli_evaluate_empty_prediction_exit_2(workspace, tmp_path, capsys):
 def test_cli_evaluate_frame_shape_checked_before_any_output(workspace, tmp_path, capsys):
     # the config's m = 50 tiles as 2 x 25, the 60-row prediction does not
     cfg_path, _, out = mutable_copy(workspace, tmp_path)
-    for name in (pipeline.RMSE_FILE, pipeline.TIMINGS_FILE, "report_evaluate.json"):
+    for name in (pipeline.RMSE_FILE, "report_evaluate.json"):
         (out / name).unlink()
     cfg = tmp_path / "pgm.cfg"
     cfg.write_text(SMALL_CFG.replace("synth.m = 60", "synth.m = 50")
                    + "evaluate.pgm = true\nevaluate.frame_width = 25\n")
     assert cli.main(["evaluate", "--config", str(cfg), "--out", str(out)]) == 2
     assert "frame_width" in capsys.readouterr().err
-    for name in (pipeline.RMSE_FILE, pipeline.TIMINGS_FILE, "report_evaluate.json", "frames"):
+    for name in (pipeline.RMSE_FILE, "report_evaluate.json", "frames"):
         assert not (out / name).exists()
 
 

@@ -23,20 +23,20 @@ def test_xoshiro_first_output_from_unit_state():
     gen = Xoshiro256pp(0)
     gen._s = np.array([[1], [2], [3], [4]], dtype=np.uint64)
     # rotl(s0 + s3, 23) + s0 = rotl(5, 23) + 1
-    assert gen.next_u64() == 5 * (1 << 23) + 1
+    assert gen.next_u64s(1)[0] == 5 * (1 << 23) + 1
 
 
 def test_determinism_per_seed():
     a = Xoshiro256pp(1234)
     b = Xoshiro256pp(1234)
-    assert [a.next_u64() for _ in range(50)] == [b.next_u64() for _ in range(50)]
-    assert Xoshiro256pp(1).next_u64() != Xoshiro256pp(2).next_u64()
+    assert a.next_u64s(50).tolist() == b.next_u64s(50).tolist()
+    assert Xoshiro256pp(1).next_u64s(1)[0] != Xoshiro256pp(2).next_u64s(1)[0]
 
 
 def test_random_in_unit_interval():
     gen = Xoshiro256pp(7)
-    draws = [gen.random() for _ in range(1000)]
-    assert all(0.0 <= d < 1.0 for d in draws)
+    draws = gen.random(1000)
+    assert np.all((0.0 <= draws) & (draws < 1.0))
     # Box-Muller's log argument: (0, 1], ends included
     raw = np.array([0, 1, 2**64 - 1, *Xoshiro256pp(7).next_u64s(1000)], dtype=np.uint64)
     u = rng._unit_open(raw)
@@ -121,9 +121,9 @@ def test_substreams_independent_and_deterministic():
     a = substream(42, 0)
     b = substream(42, 1)
     a2 = substream(42, 0)
-    seq_a = [a.next_u64() for _ in range(10)]
-    assert seq_a == [a2.next_u64() for _ in range(10)]
-    assert seq_a != [b.next_u64() for _ in range(10)]
+    seq_a = a.next_u64s(10).tolist()
+    assert seq_a == a2.next_u64s(10).tolist()
+    assert seq_a != b.next_u64s(10).tolist()
 
 
 # ----------------------------------------------------------------------
@@ -240,7 +240,7 @@ def test_lane_below_retries_only_rejected_lanes(seed, index):
 @given(seeds, lanes, st.integers(0, 9))
 def test_lane_coin_uniforms_match_one_stream(seed, index, k):
     gen = substream(seed, np.array(index))
-    block = np.concatenate([gen.coin_uniforms(k, (30.0, 40.0), (-40.0, -30.0)),
+    block = np.concatenate([gen.either_uniforms(k, (30.0, 40.0), (-40.0, -30.0)),
                             gen.uniform(-15.0, 30.0, k)])
 
     def draws(o):
@@ -256,10 +256,10 @@ def test_lane_coin_uniforms_match_one_stream(seed, index, k):
 # one stream: a generator seeded with an int is a single lane
 
 one_stream_ops = st.one_of(
-    st.just(("random",)),
-    st.sampled_from([("uniform", -15.0, 30.0), ("uniform", 0.0, 2.0 * math.pi)]),
-    st.just(("coin",)),
-    st.just(("next_u64",)),
+    st.tuples(st.just("random"), st.integers(0, 3)),
+    st.builds(lambda op, k: (*op, k),
+              st.sampled_from([("uniform", -15.0, 30.0), ("uniform", 0.0, 2.0 * math.pi)]),
+              st.integers(0, 3)),
     # bounds >= 2**63 reject about half of all draws
     st.tuples(st.just("below"), st.one_of(st.integers(1, 100), st.integers(2**63, 2**64 - 1))),
     # blocks around the jump threshold and past the recorded rows
@@ -270,14 +270,10 @@ one_stream_ops = st.one_of(
 def oracle_draw(o, op):
     name, *args = op
     if name == "random":
-        return o.random()
+        return [o.random() for _ in range(args[0])]
     if name == "uniform":
-        lo, hi = args
-        return lo + (hi - lo) * o.random()
-    if name == "coin":
-        return bool(o.next() >> 63)
-    if name == "next_u64":
-        return o.next()
+        lo, hi, k = args
+        return [lo + (hi - lo) * o.random() for _ in range(k)]
     if name == "below":
         return o.below(args[0])
     return [o.next() for _ in range(args[0])]
@@ -289,13 +285,11 @@ def test_one_stream_interleaved_draws_match_oracle(seed, ops):
     gen, oracle = Xoshiro256pp(seed), Oracle(seed)
     for op in ops:
         got, want = getattr(gen, op[0])(*op[1:]), oracle_draw(oracle, op)
-        if op[0] == "next_u64s":
-            assert got.shape == (op[1],) and got.tolist() == want, op
+        if op[0] == "below":
+            assert isinstance(got, np.uint64) and got == want, op
         else:
-            assert got == want, op
-            if op[0] in ("next_u64", "below"):
-                assert isinstance(got, np.uint64), op
-    assert gen.next_u64() == oracle.next()
+            assert got.shape == (op[-1],) and got.tolist() == want, op
+    assert gen.next_u64s(1)[0] == oracle.next()
 
 
 @settings(max_examples=30, deadline=None)
@@ -308,7 +302,7 @@ def test_one_lane_array_seed_equals_int_seed(seed, k, n):
     assert lane.normals(n).tobytes() == one.normals(n).tobytes()
     assert lane.sample_without_replacement(50, 7).tobytes() == (
         one.sample_without_replacement(50, 7).tobytes())
-    assert lane.next_u64().tolist() == [one.next_u64()]
+    assert lane.next_u64s(1).tobytes() == one.next_u64s(1).tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -369,7 +363,7 @@ def test_one_stream_sample_without_replacement_matches_oracle(seed, population, 
     k = data.draw(st.one_of(st.integers(0, min(population, 40)), st.integers(0, population)))
     gen, oracle = Xoshiro256pp(seed), Oracle(seed)
     assert gen.sample_without_replacement(population, k).tolist() == oracle.sample(population, k)
-    assert gen.next_u64() == oracle.next()
+    assert gen.next_u64s(1)[0] == oracle.next()
 
 
 jump_lanes = st.one_of(st.none(), st.integers(1, 12), st.integers(13, 600))
