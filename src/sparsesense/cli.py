@@ -3,17 +3,33 @@
     sparsesense <synth|clean|compress|train|predict|evaluate|run>
                 --config PATH [--seed N] [--out DIR]
 
-Exit codes: 0 success, 2 validation error, 3 convergence/training failure,
-4 I/O error.  Inputs that ask for an array larger than the host can
-allocate (a tiny train.dt, a huge train.horizon) also exit 2: the
-MemoryError is reported as one `error:` line, not a traceback.
+Exit codes: 0 success, 2 validation error, 3 convergence/training failure
+(a LAPACK routine that does not converge included), 4 I/O error.  Inputs
+that ask for an array larger than the host can allocate (a tiny
+train.dt, a huge train.horizon) also exit 2: the MemoryError is reported
+as one `error:` line, not a traceback.
+
+The command line runs BLAS on one thread: importing this module before
+numpy sets the thread count, so the artifacts do not depend on the
+host's core count, and `forecast.train` can fork its worker, which it
+does only from a process that runs one thread.  The package imports no
+numpy until one of its names is used (see `__init__`).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
+
+#: the environment variables that set the thread count of numpy's BLAS
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" not in sys.modules:  # once numpy has loaded, its BLAS keeps its threads
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+
+# numpy loads from here on
+from numpy.linalg import LinAlgError
 
 from . import config as cfgmod
 from . import pipeline
@@ -56,7 +72,8 @@ def main(argv: list[str] | None = None) -> int:
                   file=sys.stderr)
             return EXIT_CONVERGENCE
         return EXIT_OK
-    except TrainingDivergenceError as exc:
+    except (TrainingDivergenceError, LinAlgError) as exc:
+        # LinAlgError: LAPACK did not converge, as on entries near the float64 limit
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
     except ValidationError as exc:

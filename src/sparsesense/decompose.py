@@ -23,7 +23,9 @@ mu grows only while the iteration keeps up with it.  The dual residual
 mu ||S - S_prev|| / ||Lambda|| measures how far Lambda is from a
 subgradient of ||L||_* (Boyd et al. 2011, section 3.3); when it exceeds
 MU_BALANCE times the primal residual ||X - L - S|| / ||X||, mu holds still
-(the residual balancing of section 3.4.1, without the decrease).  Growing
+(the residual balancing of section 3.4.1, without the decrease); where
+||Lambda|| is 0 the dual residual is undefined, recorded as None, and mu
+holds too.  Growing
 mu there freezes the iterate short of the optimum while the primal
 residual, the stopping test, falls anyway: on a 60 x 80 rank-2 input an
 unconditional schedule stopped at a relative error of 9e-3.
@@ -91,9 +93,9 @@ class RpcaResult:
     iterations: int
     residual_history: list[float] = field(default_factory=list)
     converged: bool = False
-    #: per iteration: the dual residual, the penalty used and the count of
-    #: singular values kept
-    dual_history: list[float] = field(default_factory=list)
+    #: per iteration: the dual residual (None where ||Lambda|| is 0), the
+    #: penalty used and the count of singular values kept
+    dual_history: list[float | None] = field(default_factory=list)
     mu_history: list[float] = field(default_factory=list)
     kept_history: list[int] = field(default_factory=list)
     #: subspace sweeps over every SVT, and the SVTs that took a full SVD
@@ -156,7 +158,9 @@ def rpca(X, cfg: RpcaConfig | None = None) -> RpcaResult:
         primal = float(np.linalg.norm(Lambda) / (mu * norm_x))
         Lambda, W = W, Lambda
         S_prev -= S
-        dual = float(mu * np.linalg.norm(S_prev) / np.linalg.norm(Lambda))
+        norm_lambda = np.linalg.norm(Lambda)
+        # undefined (None) where the multiplier's norm is 0, as at a tiny lam
+        dual = float(mu * np.linalg.norm(S_prev) / norm_lambda) if norm_lambda else None
         result.iterations += 1
         result.svt_sweeps += factors.sweeps
         result.svt_full_svds += factors.full_svd
@@ -167,7 +171,7 @@ def rpca(X, cfg: RpcaConfig | None = None) -> RpcaResult:
         if primal <= cfg.tol:
             result.converged = True
             break
-        if dual <= MU_BALANCE * primal:
+        if dual is not None and dual <= MU_BALANCE * primal:
             mu = min(MU_GROWTH * mu, mu_max)
     result.S = S
     return result

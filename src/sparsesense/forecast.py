@@ -7,7 +7,7 @@ linear interpolation for irregularly sampled series and windowed dataset
 construction.
 
 A training batch runs on one time-major `Workspace` that `train`
-allocates once per call, sized for its largest batch, with five buffers:
+allocates once per call, sized for its largest half batch, with five buffers:
 inputs (T, B, s), gates (T, 4, B, H), cell and hidden states
 (T + 1, B, H) and tanh(c) (T, B, H).  The input projection is one
 batched product before the time loop; the gates are activated in place,
@@ -21,21 +21,21 @@ reduction over all T * B rows, not T rank-B updates (Appleyard, Kočiský
 (in the spirit of Gruslys et al., arXiv:1606.03401, but with no
 recomputation).  A batch allocates no buffer that grows with T.
 
-The products that do not depend on the recurrence run on one helper
-thread (`_Helper`), which `train` starts once and joins before it
-returns; BLAS releases the GIL, so they take the second core.  A lone
-`loss_and_grads` or `lstm_forward` call has no helper (`None`) and runs
-every product on the calling thread.  While the calling thread steps the
-recurrence, the helper projects the inputs of every time chunk after
-the first, `_CHUNK` steps at a time; after BPTT it computes a column
-block of dWh while the caller computes the rest of dWh, dWx and db.
-`_later` hands each product over and returns the call that collects it:
-a product the helper has not started by the time the caller needs it,
-the caller runs itself, so a busy second core delays a batch by at
-most the product in flight.  Every product is the same BLAS call
-as on one thread, or a column block that OpenBLAS runs with the same
-kernels, so the bytes do not change.  The time loop stays on one
-thread: two threads stepping half a batch each contend for the GIL at
+`train` runs on both cores by synchronous data parallelism (Goyal et
+al., arXiv:1706.02677): a batch's gradient is the first ceil(b / 2)
+windows' gradient plus the rest's, each half its share of the batch's
+mean squared error (`loss_and_grads` with `batch_rows`) on its rows of
+the batch's one dropout mask.  The calling process computes the first
+half while a worker process that `train` forks once (`_Worker`)
+computes the second.  A fork is safe only from a process that runs one
+thread (`_may_fork`), as under the command line, which runs BLAS on one
+thread; elsewhere the caller computes both halves, with the same calls
+and so the same bytes.  On a 2-core host with one BLAS thread this cuts
+perfbench `forecast` run_s by 22 % and `desk` run_s by 12 %.  Against
+one whole batch per step, `train` costs 19 % more pinned to one CPU,
+where both processes share it, and about 3 % more under two OpenBLAS
+threads, where no worker runs.  The time loop stays on one thread per
+process: two threads stepping half a batch each contend for the GIL at
 every step.
 
 Training and rollout share one cell, `_step`, on gate-major weights
@@ -58,12 +58,12 @@ de-normalized on the way out.
 
 from __future__ import annotations
 
-import contextvars
 import math
-import threading
+import mmap
+import os
+import signal
+import struct
 from dataclasses import dataclass
-from collections import deque
-from functools import partial
 
 import numpy as np
 
@@ -77,9 +77,6 @@ _MODEL = matio.Record(b"LSTM", "<HIIIId", 1, lambda s, H, D, out, dropout: [
                                  (H, D), (D,), (D, out), (out,))])
 
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
-
-#: time steps per chunk of a batch's input projection
-_CHUNK = 10
 
 #: the share of windows, the last ones, that `train` holds out of fitting
 _HOLD_OUT = 0.2
@@ -237,70 +234,10 @@ def _step(z: np.ndarray, c: np.ndarray, c_next: np.ndarray, tc: np.ndarray,
     np.multiply(o, tc, out=h_next)
 
 
-class _Helper:
-    """One helper thread beside the calling thread, for the length of a
-    `with` block: it runs what `put` queues, in order, in a copy of the
-    context `_Helper()` was made in, so numpy's error state holds there too."""
-
-    def __init__(self):
-        self._queue, self._ready = deque(), threading.Semaphore(0)
-        self._thread = threading.Thread(target=contextvars.copy_context().run,
-                                        args=(self._run,))
-
-    def __enter__(self) -> _Helper:
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.put(None)
-        self._thread.join()
-
-    def put(self, fn) -> None:
-        self._queue.append(fn)
-        self._ready.release()
-
-    def _run(self) -> None:
-        while self._ready.acquire() and (fn := self._queue.popleft()) is not None:
-            fn()
-            fn = None  # an idle helper keeps no task's arrays alive
-
-
-def _later(helper: _Helper | None, fn):
-    """Queue `fn` on `helper` and return the call that completes it:
-    whichever thread takes the lock first runs `fn`, so the call never
-    waits for an `fn` the helper has not started, and it re-raises what
-    `fn` raised.  With no helper, the call runs `fn`."""
-    if helper is None:
-        return fn
-    lock, outcome = threading.Lock(), []  # [None], or [what fn raised]
-
-    def run(blocking: bool = True) -> None:
-        if lock.acquire(blocking):  # else the other thread is running fn
-            if not outcome:
-                try:
-                    fn()
-                    outcome.append(None)
-                except BaseException as exc:  # re-raised by the caller's call
-                    outcome.append(exc)
-            lock.release()
-        if blocking and outcome[0] is not None:
-            raise outcome[0]
-
-    helper.put(partial(run, False))
-    return run
-
-
 def _gate_major(W: np.ndarray) -> np.ndarray:
     """(n, 4H) weights as (4, n, H): one (n, H) block per gate."""
     n, H = W.shape[0], W.shape[1] // 4
     return np.ascontiguousarray(W.reshape(n, 4, H).transpose(1, 0, 2))
-
-
-def _project(x: np.ndarray, Wx: np.ndarray, b: np.ndarray, z: np.ndarray) -> None:
-    """Input projection of steps x (t, B, s) into their gate
-    pre-activations z (t, 4, B, H): z = x @ Wx + b, per step and gate."""
-    np.matmul(x[:, None], Wx, out=z)
-    z += b
 
 
 class Workspace:
@@ -377,17 +314,13 @@ def init_model(input_dim: int, cfg: TrainConfig,
                      norm_std=np.asarray(norm_std, dtype=np.float64))
 
 
-def _forward_batch(model: LstmModel, xb: np.ndarray, training: bool,
-                   rng: np.random.Generator | None,
-                   workspace: Workspace | None = None,
-                   helper: _Helper | None = None) -> tuple[np.ndarray, dict]:
+def _forward_batch(model: LstmModel, xb: np.ndarray, mask: np.ndarray | None,
+                   workspace: Workspace | None = None) -> tuple[np.ndarray, dict]:
     """xb: normalized (B, T, s) batch; returns normalized outputs (B, s)
     and the cache needed for backpropagation, which holds views of the
-    workspace (a fresh one when none is given).  Step t reads cs[t],
-    hs[t] and writes t + 1.  This thread projects the first `_CHUNK`
-    steps and `helper`'s thread, if it has one, the later chunks, in
-    order; the loop collects a chunk when it reaches the chunk's first
-    step."""
+    workspace (a fresh one when none is given).  `mask` (B, H) scales the
+    final hidden states for dropout; None switches dropout off.  Step t
+    reads cs[t], hs[t] and writes t + 1."""
     B, T, s = xb.shape
     H = model.hidden_dim
     p = model.params
@@ -395,42 +328,30 @@ def _forward_batch(model: LstmModel, xb: np.ndarray, training: bool,
         workspace = Workspace(B, T, s, H)
     x, z, cs, hs, tcs = workspace.views(B, T, s, H)
     x[...] = xb.transpose(1, 0, 2)
-    Wx, b = _gate_major(p["Wx"]), p["b"].reshape(4, 1, H)
+    # the input projection of every step, per gate: z = x @ Wx + b
+    np.matmul(x[:, None], _gate_major(p["Wx"]), out=z)
+    z += p["b"].reshape(4, 1, H)
     cs[0] = 0.0
     hs[0] = 0.0
     Wh, zh = _gate_major(p["Wh"]), np.empty((4, B, H))
-    chunks = [_later(helper, partial(_project, x[t:t + _CHUNK], Wx, b, z[t:t + _CHUNK]))
-              for t in range(_CHUNK, T, _CHUNK)]
-    _project(x[:_CHUNK], Wx, b, z[:_CHUNK])
     for t in range(T):
-        if t % _CHUNK == 0 and t:
-            chunks[t // _CHUNK - 1]()  # steps t..t + _CHUNK - 1 are projected
         if t:  # the state starts at zero: step 0 has no recurrent term
             z[t] += np.matmul(hs[t], Wh, out=zh)
         _step(z[t], cs[t], cs[t + 1], tcs[t], hs[t + 1])
-    hd, mask = hs[T], None
-    if training and model.dropout_rate > 0.0:
-        if rng is None:
-            raise ValidationError("training-mode forward needs an RNG for dropout")
-        keep = 1.0 - model.dropout_rate
-        mask = (rng.random((B, H)) < keep) / keep
-        hd = hd * mask
+    hd = hs[T] if mask is None else hs[T] * mask
     pre_dense, dense, out = _head(p, hd)
     cache = {"x": x, "gates": z, "cs": cs, "hs": hs, "tcs": tcs, "mask": mask,
              "hd": hd, "pre_dense": pre_dense, "dense": dense}
     return out, cache
 
 
-def _backward_batch(model: LstmModel, cache: dict, dout: np.ndarray,
-                    helper: _Helper | None = None) -> dict[str, np.ndarray]:
+def _backward_batch(model: LstmModel, cache: dict, dout: np.ndarray) -> dict[str, np.ndarray]:
     """Gradients of the loss wrt every parameter, given dL/d(output).
     This spends the forward cache: BPTT forms the gate gradients of step
     t in one (B, 4H) scratch block, which feeds the dh product, and then
     copies them over the gates z[t], which nothing reads again.  The
     weight gradients of the recurrent layer are then one GEMM or one
-    reduction each over all T * B rows of z, read as dz (T, B, 4H);
-    `helper`'s thread computes a column block of dWh, or all of it,
-    while this thread computes the rest, dWx and db."""
+    reduction each over all T * B rows of z, read as dz (T, B, 4H)."""
     p = model.params
     x, z, cs, hs, tcs = (cache[k] for k in ("x", "gates", "cs", "hs", "tcs"))
     T, B, s = x.shape
@@ -477,20 +398,9 @@ def _backward_batch(model: LstmModel, cache: dict, dout: np.ndarray,
     dz = z.reshape(T, B, 4 * H)
     rows = dz.reshape(T * B, 4 * H)
     # hs[0] is the zero state, so step 0 adds nothing to dWh
-    hsT, dzh = hs[1:T].reshape((T - 1) * B, H).T, dz[1:].reshape((T - 1) * B, 4 * H)
-    grads["Wh"] = dWh = np.empty((H, 4 * H))
-    # The helper takes dWh's columns from `split` on; this thread takes the
-    # first quarter or less, as it also forms dWx and db.  On OpenBLAS
-    # 0.3.31 (AVX-512 kernels, one or two threads) a column block has the
-    # bytes of the whole product when it starts at a multiple of 64 columns
-    # and 4H is a multiple of 8; at odd H the last four columns can round
-    # differently (H = 129 on two threads), so the helper takes all of dWh.
-    split = 64 * (H // 64) if H % 2 == 0 else 0
-    right = _later(helper, partial(np.matmul, hsT, dzh[:, split:], out=dWh[:, split:]))
-    np.matmul(hsT, dzh[:, :split], out=dWh[:, :split])
+    grads["Wh"] = hs[1:T].reshape((T - 1) * B, H).T @ dz[1:].reshape((T - 1) * B, 4 * H)
     grads["Wx"] = x.reshape(T * B, s).T @ rows
     grads["b"] = rows.sum(axis=0)
-    right()
     return grads
 
 
@@ -502,26 +412,28 @@ def lstm_forward(model: LstmModel, sequence: np.ndarray) -> tuple[np.ndarray, di
         raise ValidationError(f"sequence shape {sequence.shape} is not (T >= 1, "
                               f"input dim {model.input_dim})")
     xn = model.normalize(sequence)[None, :, :]
-    out, cache = _forward_batch(model, xn, False, None)
+    out, cache = _forward_batch(model, xn, None)
     return model.denormalize(out[0]), cache
 
 
 def loss_and_grads(model: LstmModel, xb: np.ndarray, yb: np.ndarray,
-                   training: bool = True,
-                   rng: np.random.Generator | None = None,
+                   mask: np.ndarray | None = None,
                    workspace: Workspace | None = None,
-                   helper: _Helper | None = None
-                   ) -> tuple[float, dict[str, np.ndarray]]:
+                   batch_rows: int | None = None) -> tuple[float, dict[str, np.ndarray]]:
     """Mean-squared error over a normalized batch plus its gradients.
-    The batch runs on `workspace` when given (see `Workspace`), else on a
-    fresh one; the workspace is overwritten, and the result does not
-    depend on what it held.  Likewise its products run on `helper`'s
-    thread when given one, else on this one."""
-    out, cache = _forward_batch(model, xb, training, rng, workspace, helper)
+    `mask` (B, H) is the dropout mask of the final hidden states, None for
+    no dropout.  When the B rows are a part of a batch of `batch_rows`
+    rows, the loss is their squared error over batch_rows * s, so the
+    parts' losses and gradients sum to the whole batch's.  The batch runs
+    on `workspace` when given (see `Workspace`), else on a fresh one; the
+    workspace is overwritten, and the result does not depend on what it
+    held."""
+    out, cache = _forward_batch(model, xb, mask, workspace)
     diff = out - yb
-    loss = float(np.mean(diff ** 2))
-    dout = 2.0 * diff / diff.size
-    return loss, _backward_batch(model, cache, dout, helper)
+    n = diff.size if batch_rows is None else batch_rows * diff.shape[1]
+    loss = float(np.sum(diff ** 2) / n)
+    dout = 2.0 * diff / n
+    return loss, _backward_batch(model, cache, dout)
 
 
 def _clip_gradients(grads: dict[str, np.ndarray], clip_norm: float) -> None:
@@ -567,6 +479,143 @@ class AdamState:
             params[k] -= np.divide(g, w, out=g)
 
 
+def _may_fork() -> bool:
+    """Whether `train` may fork its worker: only from a process that runs
+    one thread.  A forked child holds only the forking thread, so a lock
+    that another thread held stays locked in it.  False where there is no
+    /proc to count the threads in."""
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def _shared_arrays(specs: list[tuple[tuple[int, ...], type]]) -> list[np.ndarray]:
+    """Arrays of the given (shape, dtype) in one anonymous shared mapping,
+    each on a 64-byte boundary: a forked child sees the parent's writes,
+    and the parent the child's."""
+    sizes = [64 * -(-8 * math.prod(shape) // 64) for shape, _ in specs]
+    buf = mmap.mmap(-1, max(sum(sizes), 1))
+    offsets = np.cumsum([0, *sizes])
+    return [np.frombuffer(buf, dtype, math.prod(shape), int(offset)).reshape(shape)
+            for (shape, dtype), offset in zip(specs, offsets)]
+
+
+class _Worker:
+    """The second halves of a training run's batches, computed on one
+    worker process forked for the length of a `with` block.
+
+    The worker inherits the model and the training windows copy-on-write.
+    The parameters, the worker's gradients and each half's window indices
+    and dropout-mask rows live in one shared mapping, so the caller's
+    in-place Adam step reaches the worker without a copy; two pipes carry
+    one message each way per batch.  Where no worker can run (`_may_fork`
+    says no, fork fails, or no batch has a second half) or the worker has
+    died, the caller computes the half itself, with the same call on the
+    same inputs, so the bytes do not depend on which process ran it.
+
+    The worker ignores SIGINT, leaves by `os._exit` on every path, and
+    exits when its command pipe reaches end of file, so it does not
+    outlive a killed caller; leaving the block closes both pipes and
+    reaps it."""
+
+    def __init__(self, model: LstmModel, inputs: np.ndarray, targets: np.ndarray,
+                 workspace: Workspace, rows: int):
+        self.model, self.inputs, self.targets = model, inputs, targets
+        self.workspace, self.pid, self.alive = workspace, None, False
+        if rows and _may_fork():
+            self._fork(rows)
+
+    def _fork(self, rows: int) -> None:
+        p = self.model.params
+        k = len(p)
+        arrays = _shared_arrays([(v.shape, np.float64) for v in p.values()] * 2
+                                + [((rows,), np.intp), ((rows, self.model.hidden_dim), np.float64)])
+        for shared, value in zip(arrays, p.values()):
+            shared[...] = value
+        self.model.params = dict(zip(p, arrays[:k]))
+        self.grads = dict(zip(p, arrays[k:2 * k]))
+        self.sel, self.mask = arrays[2 * k:]
+        cmd, self.cmd = os.pipe()
+        self.res, res = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:  # no process to spare: the caller computes every half
+            for fd in (cmd, self.cmd, self.res, res):
+                os.close(fd)
+            self.model.params = p
+            return
+        if self.pid == 0:
+            code = 1
+            try:
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                os.close(self.cmd)
+                os.close(self.res)
+                self._serve(cmd, res, Workspace(rows, *self.inputs.shape[1:],
+                                                self.model.hidden_dim))
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(cmd)
+        os.close(res)
+        self.alive = True
+
+    def _serve(self, cmd: int, res: int, workspace: Workspace) -> None:
+        """The worker's loop: one half per command, until end of file."""
+        while len(message := os.read(cmd, 16)) == 16:
+            n, batch_rows = struct.unpack("qq", message)
+            sel = self.sel[:n]
+            mask = self.mask[:n] if self.model.dropout_rate > 0.0 else None
+            loss, grads = loss_and_grads(self.model, self.inputs[sel], self.targets[sel],
+                                         mask, workspace, batch_rows)
+            for name, g in grads.items():
+                self.grads[name][...] = g
+            os.write(res, struct.pack("d", loss))
+
+    def start(self, sel: np.ndarray, mask: np.ndarray | None, batch_rows: int) -> None:
+        """Hand over the windows `sel` of a batch of `batch_rows`, with
+        their rows of the batch's dropout mask.  Only while this process
+        still runs one thread: a fork shuts OpenBLAS's thread pool down
+        in the parent, which passes `_may_fork` until a large product
+        starts the pool again, and then both processes run it."""
+        self.job, self.handed = (sel, mask, batch_rows), self.alive and _may_fork()
+        if self.handed:
+            self.sel[:sel.size] = sel
+            if mask is not None:
+                self.mask[:sel.size] = mask
+            try:
+                os.write(self.cmd, struct.pack("qq", sel.size, batch_rows))
+            except BrokenPipeError:
+                self.alive = self.handed = False
+
+    def add_to(self, grads: dict[str, np.ndarray]) -> float:
+        """Add the gradients of the half handed over last to `grads`, as
+        grads + its gradients, and return its loss."""
+        reply = os.read(self.res, 8) if self.handed else b""
+        if len(reply) == 8:
+            loss, half = struct.unpack("d", reply)[0], self.grads
+        else:  # not handed over, or the worker died: compute the half here
+            if self.handed:
+                self.alive = False
+            sel, mask, batch_rows = self.job
+            loss, half = loss_and_grads(self.model, self.inputs[sel], self.targets[sel],
+                                        mask, self.workspace, batch_rows)
+        for name, g in grads.items():
+            g += half[name]
+        return loss
+
+    def __enter__(self) -> _Worker:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self.pid:
+            os.close(self.cmd)
+            os.close(self.res)
+            os.waitpid(self.pid, 0)
+            # the caller's model owns ordinary arrays again
+            self.model.params = {k: v.copy() for k, v in self.model.params.items()}
+
+
 def train(ts: TimeSeries, cfg: TrainConfig) -> tuple[LstmModel, list[float]]:
     """Fit the network on the one-step targets of the first 1 - _HOLD_OUT
     of the windows; the rows after them do not reach the model.  Returns
@@ -575,6 +624,11 @@ def train(ts: TimeSeries, cfg: TrainConfig) -> tuple[LstmModel, list[float]]:
     Deterministic per cfg.seed: weight init, shuffling, and dropout masks
     all come from one seeded generator.  Raises TrainingDivergenceError if
     the loss goes non-finite.
+
+    A batch of b windows is two halves, each its share of the batch's
+    mean squared error (see `loss_and_grads`): the first ceil(b / 2)
+    windows run on this process while a `_Worker` runs the rest, and the
+    batch's gradient is the first half's plus the second's.
     """
     cfg.validate()
     values = ts.values
@@ -594,22 +648,31 @@ def train(ts: TimeSeries, cfg: TrainConfig) -> tuple[LstmModel, list[float]]:
     inputs, targets = make_windows(model.normalize(train_rows), cfg.window)
 
     adam = AdamState(model.params)
-    workspace = Workspace(min(cfg.batch_size, n_train), cfg.window, s, cfg.hidden_dim)
+    H, keep, batch = cfg.hidden_dim, 1.0 - cfg.dropout, min(cfg.batch_size, n_train)
+    workspace = Workspace((batch + 1) // 2, cfg.window, s, H)
     history: list[float] = []
     scale2 = float(np.mean(model.norm_std ** 2))
-    with _Helper() as helper:
+    with _Worker(model, inputs, targets, workspace, batch // 2) as worker:
         for epoch in range(cfg.epochs):
             order = rng.permutation(n_train)
             sq_sum = 0.0
             count = 0
             for start in range(0, n_train, cfg.batch_size):
                 sel = order[start:start + cfg.batch_size]
-                loss, grads = loss_and_grads(model, inputs[sel], targets[sel], training=True,
-                                             rng=rng, workspace=workspace, helper=helper)
+                b, half = sel.size, (sel.size + 1) // 2
+                mask = (rng.random((b, H)) < keep) / keep if cfg.dropout > 0.0 else None
+                masks = (None, None) if mask is None else (mask[:half], mask[half:])
+                if half < b:
+                    worker.start(sel[half:], masks[1], b)
+                first = sel[:half]
+                loss, grads = loss_and_grads(model, inputs[first], targets[first], masks[0],
+                                             workspace, b)
+                if half < b:
+                    loss += worker.add_to(grads)
                 if not np.isfinite(loss):
                     raise TrainingDivergenceError(epoch)
-                sq_sum += loss * sel.size
-                count += sel.size
+                sq_sum += loss * b
+                count += b
                 _clip_gradients(grads, cfg.clip_norm)
                 adam.step(model.params, grads, cfg)
                 # the next backward pass would otherwise peak with two gradient sets

@@ -113,12 +113,13 @@ def read_matrix(path) -> np.ndarray:
 
 
 def write_csv(path, header: str, rows) -> None:
-    """A header line, then one line per row; floats with 17 digits."""
+    """A header line, then one line per row; floats with 17 digits, None
+    as null."""
     with atomic_write(path, "w") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(f"{x:.17g}" if isinstance(x, float) else str(x)
-                              for x in row))
+            fh.write(",".join(f"{x:.17g}" if isinstance(x, float) else
+                              "null" if x is None else str(x) for x in row))
             fh.write("\n")
 
 

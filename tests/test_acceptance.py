@@ -113,7 +113,7 @@ def test_criterion_4_lstm_gradient_audit(report):
     model = init_model(2, cfg, np.zeros(2), np.ones(2), rng)
     xb = rng.standard_normal((3, 4, 2))
     yb = rng.standard_normal((3, 2))
-    _, grads = loss_and_grads(model, xb, yb, training=False)
+    _, grads = loss_and_grads(model, xb, yb)
     h = 1e-5
     # the pass rule reads only the entries whose |fd - g| clears 1e-7, where
     # a wrong term shows above the finite-difference noise; the report line
@@ -126,9 +126,9 @@ def test_criterion_4_lstm_gradient_audit(report):
             ix = it.multi_index
             orig = W[ix]
             W[ix] = orig + h
-            lp, _ = loss_and_grads(model, xb, yb, training=False)
+            lp, _ = loss_and_grads(model, xb, yb)
             W[ix] = orig - h
-            lm, _ = loss_and_grads(model, xb, yb, training=False)
+            lm, _ = loss_and_grads(model, xb, yb)
             W[ix] = orig
             fd = (lp - lm) / (2 * h)
             g = grads[name][ix]

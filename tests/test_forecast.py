@@ -1,11 +1,9 @@
-import contextlib
 import math
-import sys
-import threading
+import os
+import signal
 import tracemalloc
 import warnings
 import weakref
-from functools import partial
 
 import numpy as np
 import pytest
@@ -36,6 +34,15 @@ def tiny_model(input_dim=2, hidden=3, dense=3, seed=5, dropout=0.0):
                       dropout=dropout, seed=seed)
     rng = np.random.default_rng(seed)
     return init_model(input_dim, cfg, np.zeros(input_dim), np.ones(input_dim), rng)
+
+
+def dropout_mask(model, rng, B):
+    """The inverted-dropout mask `train` draws for a batch of B windows,
+    None when the model has no dropout."""
+    if model.dropout_rate == 0.0:
+        return None
+    keep = 1.0 - model.dropout_rate
+    return (rng.random((B, model.hidden_dim)) < keep) / keep
 
 
 # ----------------------------------------------------------------------
@@ -187,10 +194,12 @@ def test_dropout_only_active_in_training():
     model = tiny_model(dropout=0.5)
     xb = np.random.default_rng(2).standard_normal((1, 4, 2))
     rng = np.random.default_rng(0)
-    outs = {tuple(forecast._forward_batch(model, xb, True, rng)[0][0]) for _ in range(8)}
+    outs = {tuple(forecast._forward_batch(model, xb, dropout_mask(model, rng, 1))[0][0])
+            for _ in range(8)}
     assert len(outs) > 1  # masks vary across calls
-    with pytest.raises(ValidationError):
-        forecast._forward_batch(model, xb, True, None)
+    # inference passes no mask
+    np.testing.assert_array_equal(forecast._forward_batch(model, xb, None)[0][0],
+                                  lstm_forward(model, xb[0])[0])
 
 
 def test_forward_shape_validation():
@@ -210,7 +219,7 @@ def test_bptt_gradients_match_finite_differences():
     rng = np.random.default_rng(5)
     xb = rng.standard_normal((3, 4, 2))
     yb = rng.standard_normal((3, 2))
-    _, grads = loss_and_grads(model, xb, yb, training=False)
+    _, grads = loss_and_grads(model, xb, yb)
     h = 1e-5
     for name, W in model.params.items():
         it = np.nditer(W, flags=["multi_index"])
@@ -218,9 +227,9 @@ def test_bptt_gradients_match_finite_differences():
             ix = it.multi_index
             orig = W[ix]
             W[ix] = orig + h
-            lp, _ = loss_and_grads(model, xb, yb, training=False)
+            lp, _ = loss_and_grads(model, xb, yb)
             W[ix] = orig - h
-            lm, _ = loss_and_grads(model, xb, yb, training=False)
+            lm, _ = loss_and_grads(model, xb, yb)
             W[ix] = orig
             fd = (lp - lm) / (2 * h)
             g = grads[name][ix]
@@ -228,7 +237,7 @@ def test_bptt_gradients_match_finite_differences():
                 assert abs(fd - g) / max(abs(fd), abs(g)) <= 1e-4, (name, ix)
 
 
-def reference_loss_and_grads(model, xb, yb, rng):
+def reference_loss_and_grads(model, xb, yb, mask):
     """The per-step loop the training batch used to run, batch-major with
     fresh arrays every step and dWh accumulated inside BPTT: the oracle
     for the time-major workspace."""
@@ -247,11 +256,7 @@ def reference_loss_and_grads(model, xb, yb, rng):
         tc = np.tanh(cs[-1])
         hs.append(o * tc)
         gates.append((i, f, g, o, tc))
-    hd, mask = hs[T], None
-    if model.dropout_rate > 0.0:
-        keep = 1.0 - model.dropout_rate
-        mask = (rng.random((B, H)) < keep) / keep
-        hd = hd * mask
+    hd = hs[T] if mask is None else hs[T] * mask
     pre_dense = hd @ p["Wd"] + p["bd"]
     dense = np.maximum(pre_dense, 0.0)
     diff = dense @ p["Wo"] + p["bo"] - yb
@@ -291,8 +296,8 @@ def test_workspace_reuse_matches_fresh_and_per_step_reference(B, extra, T, s, H,
     data = np.random.default_rng(seed + 1)
     workspace = Workspace(B + extra, T, s, H)
     x_big = 1e3 * data.standard_normal((B + extra, T, s))
-    _, big = loss_and_grads(model, x_big, data.standard_normal((B + extra, s)), rng=data,
-                            workspace=workspace)
+    _, big = loss_and_grads(model, x_big, data.standard_normal((B + extra, s)),
+                            dropout_mask(model, data, B + extra), workspace)
     # BPTT left the larger batch's gate gradients in the gate buffer
     x, z = workspace.views(B + extra, T, s, H)[:2]
     dz_big = z.reshape(T * (B + extra), 4 * H)
@@ -300,9 +305,10 @@ def test_workspace_reuse_matches_fresh_and_per_step_reference(B, extra, T, s, H,
     np.testing.assert_array_equal(dz_big.sum(axis=0), big["b"])
     np.testing.assert_array_equal(x.reshape(-1, s).T @ dz_big, big["Wx"])
     xb, yb = data.standard_normal((B, T, s)), data.standard_normal((B, s))
-    reused = loss_and_grads(model, xb, yb, rng=np.random.default_rng(seed), workspace=workspace)
-    fresh = loss_and_grads(model, xb, yb, rng=np.random.default_rng(seed))
-    want_loss, want = reference_loss_and_grads(model, xb, yb, np.random.default_rng(seed))
+    mask = dropout_mask(model, np.random.default_rng(seed), B)
+    reused = loss_and_grads(model, xb, yb, mask, workspace)
+    fresh = loss_and_grads(model, xb, yb, mask)
+    want_loss, want = reference_loss_and_grads(model, xb, yb, mask)
     assert reused[0] == fresh[0]
     assert abs(reused[0] - want_loss) <= 1e-12 * abs(want_loss)
     for k, g in want.items():
@@ -315,7 +321,7 @@ def test_workspace_rejects_a_batch_it_cannot_hold():
     xb, yb = np.zeros((3, 4, 2)), np.zeros((3, 2))
     for workspace in (Workspace(2, 4, 2, 3), Workspace(3, 5, 2, 3), Workspace(3, 4, 2, 4)):
         with pytest.raises(ValidationError):
-            loss_and_grads(model, xb, yb, training=False, workspace=workspace)
+            loss_and_grads(model, xb, yb, workspace=workspace)
 
 
 def test_training_batch_allocates_no_step_sized_buffer():
@@ -324,10 +330,10 @@ def test_training_batch_allocates_no_step_sized_buffer():
     data = np.random.default_rng(9)
     xb, yb = data.standard_normal((B, T, s)), data.standard_normal((B, s))
     workspace = Workspace(B, T, s, H)
-    loss_and_grads(model, xb, yb, rng=data, workspace=workspace)
+    loss_and_grads(model, xb, yb, workspace=workspace)
     tracemalloc.start()
     try:
-        loss_and_grads(model, xb, yb, rng=data, workspace=workspace)
+        loss_and_grads(model, xb, yb, workspace=workspace)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -343,7 +349,7 @@ def test_training_batch_working_set_is_the_five_workspace_buffers():
     xb, yb = data.standard_normal((B, T, s)), data.standard_normal((B, s))
     tracemalloc.start()
     try:
-        loss_and_grads(model, xb, yb, rng=data, workspace=Workspace(B, T, s, H))
+        loss_and_grads(model, xb, yb, workspace=Workspace(B, T, s, H))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -353,11 +359,11 @@ def test_training_batch_working_set_is_the_five_workspace_buffers():
     assert peak < buffers + 10**6, (peak, buffers)
 
 
-def serial_loss_and_grads(model, xb, yb, rng):
-    """The training batch as it ran before its products moved to a helper
-    thread: one input projection before the time loop and the three
-    weight-gradient products after BPTT, all on the calling thread.  The
-    oracle for byte identity."""
+def serial_loss_and_grads(model, xb, yb, mask, batch_rows=None):
+    """The training batch written out in full: one input projection
+    before the time loop and the three weight-gradient products after
+    BPTT; as a part of a batch of `batch_rows`, its squared error over
+    batch_rows * s.  The oracle for byte identity."""
     B, T, s = xb.shape
     H, p = model.hidden_dim, model.params
     x, z, cs, hs, tcs = Workspace(B, T, s, H).views(B, T, s, H)
@@ -371,14 +377,11 @@ def serial_loss_and_grads(model, xb, yb, rng):
         if t:
             z[t] += np.matmul(hs[t], Wh, out=zh)
         forecast._step(z[t], cs[t], cs[t + 1], tcs[t], hs[t + 1])
-    hd, mask = hs[T], None
-    if model.dropout_rate > 0.0:
-        keep = 1.0 - model.dropout_rate
-        mask = (rng.random((B, H)) < keep) / keep
-        hd = hd * mask
+    hd = hs[T] if mask is None else hs[T] * mask
     pre_dense, dense, out = forecast._head(p, hd)
     diff = out - yb
-    dout = 2.0 * diff / diff.size
+    n = (B if batch_rows is None else batch_rows) * s
+    dout = 2.0 * diff / n
     grads = {"bo": dout.sum(axis=0), "Wo": dense.T @ dout}
     ddense = np.where(pre_dense > 0, dout @ p["Wo"].T, 0.0)
     grads["bd"], grads["Wd"] = ddense.sum(axis=0), hd.T @ ddense
@@ -414,7 +417,7 @@ def serial_loss_and_grads(model, xb, yb, rng):
     grads["Wh"] = hs[1:T].reshape((T - 1) * B, H).T @ dz[1:].reshape((T - 1) * B, 4 * H)
     grads["Wx"] = x.reshape(T * B, s).T @ rows
     grads["b"] = rows.sum(axis=0)
-    return float(np.mean(diff ** 2)), grads
+    return float(np.sum(diff ** 2) / n), grads
 
 
 @settings(max_examples=30, deadline=None)
@@ -424,122 +427,53 @@ def serial_loss_and_grads(model, xb, yb, rng):
 @example(B=32, T=50, s=16, H=128, dropout=0.2, seed=0)   # the shipped batch
 @example(B=3, T=21, s=400, H=6, dropout=0.0, seed=1)     # s >> H
 @example(B=40, T=11, s=5, H=31, dropout=0.0, seed=2)     # 4H just below 128
-@example(B=40, T=10, s=5, H=32, dropout=0.0, seed=3)     # one chunk, 4H = 128
 @example(B=2, T=60, s=7, H=160, dropout=0.2, seed=4)
-@example(B=4, T=51, s=5, H=129, dropout=0.0, seed=0)     # odd H: no column split
+@example(B=4, T=51, s=5, H=129, dropout=0.0, seed=0)     # odd H
 def test_overlapped_batch_equals_the_serial_batch_bit_for_bit(B, T, s, H, dropout, seed):
     model = random_model(s, H, 5, seed)
     model.dropout_rate = dropout
     data = np.random.default_rng(seed + 1)
     xb, yb = data.standard_normal((B, T, s)), data.standard_normal((B, s))
-    want_loss, want = serial_loss_and_grads(model, xb, yb, np.random.default_rng(seed))
-    for helper in (forecast._Helper(), None):
-        with helper or contextlib.nullcontext():
-            loss, grads = loss_and_grads(model, xb, yb, rng=np.random.default_rng(seed),
-                                         helper=helper)
+    mask = dropout_mask(model, np.random.default_rng(seed), B)
+    want_loss, want = serial_loss_and_grads(model, xb, yb, mask)
+    loss, grads = loss_and_grads(model, xb, yb, mask)
+    assert loss == want_loss
+    for k, g in want.items():
+        np.testing.assert_array_equal(grads[k], g, err_msg=k)
+    # each half of the batch, as `train` runs the two overlapped on two
+    # processes: its share of the batch's mean
+    half = (B + 1) // 2
+    for rows in [slice(half), slice(half, B)] if B > 1 else []:
+        part = [xb[rows], yb[rows], None if mask is None else mask[rows]]
+        want_loss, want = serial_loss_and_grads(model, *part, batch_rows=B)
+        loss, grads = loss_and_grads(model, *part, batch_rows=B)
         assert loss == want_loss
         for k, g in want.items():
             np.testing.assert_array_equal(grads[k], g, err_msg=k)
 
 
-def test_no_helper_thread_outlives_train():
-    before = threading.active_count()
+def test_no_worker_outlives_train(monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(forecast, "_may_fork", lambda: True)
+    monkeypatch.setattr(os, "fork", counted_fork)
     t = np.arange(120) * 0.5
     train(TimeSeries(t, np.sin(t)[:, None]), small_cfg(window=25, epochs=2))
-    assert threading.active_count() == before
-    lstm_forward(random_model(2, 8, 3, seed=0), np.zeros((30, 2)))
-    assert threading.active_count() == before
     with pytest.raises(TrainingDivergenceError), warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         train(TimeSeries(t, np.sin(t)[:, None]),
               small_cfg(window=25, epochs=50, learning_rate=1e200, clip_norm=0.0))
-    assert threading.active_count() == before
-
-
-def test_an_exception_on_the_helper_reaches_the_caller(monkeypatch):
-    project, failed = forecast._project, threading.Event()
-
-    def project_or_fail(*args):
-        if threading.current_thread() is threading.main_thread():
-            assert failed.wait(timeout=60)  # the helper has taken the second chunk
-            project(*args)
-        else:
-            failed.set()
-            raise FloatingPointError("helper failed")
-
-    monkeypatch.setattr(forecast, "_project", project_or_fail)
-    before = threading.active_count()
-    with pytest.raises(FloatingPointError, match="helper failed"), forecast._Helper() as helper:
-        loss_and_grads(random_model(2, 8, 3, seed=0), np.zeros((4, 25, 2)), np.zeros((4, 2)),
-                       training=False, helper=helper)
-    assert threading.active_count() == before
-
-
-def test_a_lone_forward_pass_starts_no_thread_and_keeps_the_threaded_bytes(monkeypatch):
-    model = random_model(16, 128, 128, seed=3)
-    sequence = np.random.default_rng(4).standard_normal((50, 16))
-    with forecast._Helper() as helper:
-        out, _ = forecast._forward_batch(model, model.normalize(sequence)[None], False, None,
-                                         helper=helper)
-    want = model.denormalize(out[0])
-
-    def start(thread):
-        raise AssertionError("a thread was started")
-
-    monkeypatch.setattr(threading.Thread, "start", start)
-    pred, _ = lstm_forward(model, sequence)
-    np.testing.assert_array_equal(pred, want)
-
-
-def test_each_task_runs_once_on_whichever_thread_takes_it_first():
-    before = threading.active_count()
-    runs, started = [], threading.Event()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # hand the GIL over often, so the threads race
-    try:
-        with forecast._Helper() as helper:
-            calls = [forecast._later(helper, started.set)]
-            calls += [forecast._later(helper, partial(runs.append, k)) for k in range(200)]
-            assert started.wait(timeout=60)
-            for call in calls[::-1]:  # the caller runs what the helper has not reached
-                call()
-    finally:
-        sys.setswitchinterval(interval)
-    # the helper has run what it took, and has skipped the rest
-    assert sorted(runs) == list(range(200))
-
-    def fail():
-        raise KeyError("late")
-
-    with forecast._Helper() as helper:
-        call = forecast._later(helper, fail)
-        with pytest.raises(KeyError, match="late"):
-            call()
-    # the caller's own exception leaves the block, and the helper is joined
-    with pytest.raises(ValueError), forecast._Helper() as helper:
-        forecast._later(helper, fail)
-        forecast._later(helper, fail)
-        raise ValueError("caller")
-    assert threading.active_count() == before
-
-
-def test_the_helper_thread_keeps_the_error_state_it_was_made_in():
-    with np.errstate(over="raise", under="ignore"):
-        helper = forecast._Helper()
-    seen, ran = [], threading.Event()
-
-    def probe():
-        seen.append((threading.current_thread(), np.geterr()))
-        ran.set()
-
-    assert np.geterr()["over"] != "raise"
-    with helper:
-        call = forecast._later(helper, probe)
-        assert ran.wait(timeout=60)  # the helper, not this thread, runs the probe
-        call()
-    [(thread, err)] = seen
-    assert thread is not threading.current_thread()
-    assert (err["over"], err["under"]) == ("raise", "ignore")
+    assert len(forks) == 2
+    for pid in forks:  # each worker has exited and been reaped
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 def saturated_model():
@@ -559,7 +493,7 @@ def test_saturated_gates_give_exact_limits_without_warnings():
         warnings.simplefilter("error")
         pred, cache = lstm_forward(model, window)
         loss, grads = loss_and_grads(model, model.normalize(window)[None], np.zeros((1, 2)),
-                                     rng=np.random.default_rng(0))
+                                     dropout_mask(model, np.random.default_rng(0), 1))
         rollout = predict_multistep(model, window, 4)
     np.testing.assert_array_equal(cache["hs"], 0.0)
     np.testing.assert_array_equal(pred, want)
@@ -673,23 +607,73 @@ def test_train_never_reads_the_held_out_rows(window, extra, s, batch, dropout, s
     assert train(TimeSeries(t, changed), cfg)[1] != history
 
 
-@pytest.mark.parametrize("window", [8, 50])   # at 8 <= _CHUNK the helper's last task is dWh's
+@pytest.mark.parametrize("window", [8, 50])
 def test_train_holds_one_gradient_set_at_a_time(monkeypatch, window):
-    # the previous batch's gradients are gone before the next backward pass
-    alive, last = [], []
+    # with this process computing both halves of each batch, a backward
+    # pass sees at most the gradients of its batch's other half: those of
+    # every earlier pass are gone
+    alive, older, last = [], [], []
     backward = forecast._backward_batch
 
     def watched(*args, **kwargs):
-        alive.extend(ref() is not None for ref in last)
+        alive.extend(ref() is not None for ref in older)
         grads = backward(*args, **kwargs)
-        last[:] = [weakref.ref(g) for g in grads.values()]
+        older[:], last[:] = last, [weakref.ref(g) for g in grads.values()]
         return grads
 
+    monkeypatch.setattr(forecast, "_may_fork", lambda: False)
     monkeypatch.setattr(forecast, "_backward_batch", watched)
     n = 200
     ts = TimeSeries(np.arange(n) * 0.5, np.random.default_rng(0).standard_normal((n, 3)))
     train(ts, small_cfg(window=window, epochs=2, batch_size=16))
     assert alive and not any(alive)
+
+
+def train_bytes(ts, cfg, fork, monkeypatch):
+    """Model bytes and history of `train`, with its worker forced on or off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(forecast, "_may_fork", lambda: fork)
+        model, history = train(ts, cfg)
+    return model_bytes(model), history
+
+
+@settings(max_examples=15, deadline=None)
+@given(window=st.integers(1, 6), extra=st.integers(3, 40), s=st.integers(1, 3),
+       batch=st.integers(1, 9), dropout=st.sampled_from([0.0, 0.3]),
+       seed=st.integers(0, 2**32 - 1))
+@example(window=3, extra=20, s=2, batch=1, dropout=0.3, seed=0)   # no second half
+@example(window=3, extra=20, s=2, batch=3, dropout=0.3, seed=1)   # odd batches, last 1
+@example(window=5, extra=22, s=1, batch=5, dropout=0.0, seed=2)   # 5, 5, 5, 3
+def test_train_gives_the_same_bytes_with_and_without_its_worker(window, extra, s, batch,
+                                                                dropout, seed):
+    rng = np.random.default_rng(seed)
+    n = window + extra
+    ts = TimeSeries(np.arange(n) * 0.5, rng.standard_normal((n, s)))
+    cfg = small_cfg(window=window, epochs=2, hidden_dim=5, dense_dim=4, batch_size=batch,
+                    dropout=dropout, seed=seed)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert (train_bytes(ts, cfg, True, monkeypatch)
+                == train_bytes(ts, cfg, False, monkeypatch))
+
+
+def test_a_killed_worker_changes_no_byte(monkeypatch):
+    ts = TimeSeries(np.arange(150) * 0.5, np.random.default_rng(3).standard_normal((150, 2)))
+    cfg = small_cfg(window=10, epochs=3, batch_size=8, dropout=0.2)
+    want = train_bytes(ts, cfg, False, monkeypatch)
+    parent, calls = os.getpid(), []
+    real = forecast.loss_and_grads
+
+    def dies_on_its_fifth_half(*args, **kwargs):
+        calls.append(os.getpid())
+        if os.getpid() != parent and len(calls) == 5:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(forecast, "loss_and_grads", dies_on_its_fifth_half)
+    assert train_bytes(ts, cfg, True, monkeypatch) == want
+    # 3 epochs of ceil(ceil(0.8 * 140) / 8) = 14 batches: after the worker died,
+    # this process also ran the second halves
+    assert 3 * 14 < len(calls) < 2 * 3 * 14
 
 
 def test_train_too_short_series():
