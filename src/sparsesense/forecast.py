@@ -6,20 +6,20 @@ forecasts are produced by closed-loop rollout.  Includes uniform-time
 linear interpolation for irregularly sampled series and windowed dataset
 construction.
 
-A training batch runs on one time-major `Workspace` that `train`
-allocates once per call, sized for its largest half batch, with five buffers:
-inputs (T, B, s), gates (T, 4, B, H), cell and hidden states
-(T + 1, B, H) and tanh(c) (T, B, H).  The input projection is one
-batched product before the time loop; the gates are activated in place,
-gate-major, so the elementwise work of a step runs on contiguous (B, H)
-blocks.  The backward pass spends the forward cache: once BPTT has read
-the gates of step t for the last time, it stores that step's (B, 4H)
-gate gradients dz[t] in their place, so the gate buffer ends up holding
-dz and the weight gradients dWh, dWx and db are each one GEMM or one
-reduction over all T * B rows, not T rank-B updates (Appleyard, Kočiský
-& Blunsom, arXiv:1604.01946), with no separate (T, B, 4H) buffer
-(in the spirit of Gruslys et al., arXiv:1606.03401, but with no
-recomputation).  A batch allocates no buffer that grows with T.
+A training batch runs time-major on five buffers that `_forward_batch`
+allocates per call: inputs (T, B, s), gates (T, 4, B, H), cell and
+hidden states (T + 1, B, H) and tanh(c) (T, B, H).  The input
+projection is one batched product before the time loop; the gates are
+activated in place, gate-major, so the elementwise work of a step runs
+on contiguous (B, H) blocks.  The backward pass spends the forward
+cache: once BPTT has read the gates of step t for the last time, it
+stores that step's (B, 4H) gate gradients dz[t] in their place, so the
+gate buffer ends up holding dz and the weight gradients dWh, dWx and db
+are each one GEMM or one reduction over all T * B rows, not T rank-B
+updates (Appleyard, Kočiský & Blunsom, arXiv:1604.01946), with no
+separate (T, B, 4H) buffer (in the spirit of Gruslys et al.,
+arXiv:1606.03401, but with no recomputation).  Besides those five, a
+batch allocates no buffer that grows with T.
 
 `train` runs on both cores by synchronous data parallelism (Goyal et
 al., arXiv:1706.02677): a batch's gradient is the first ceil(b / 2)
@@ -28,15 +28,14 @@ mean squared error (`loss_and_grads` with `batch_rows`) on its rows of
 the batch's one dropout mask.  The calling process computes the first
 half while a worker process that `train` forks once (`_Worker`)
 computes the second.  A fork is safe only from a process that runs one
-thread (`_may_fork`), as under the command line, which runs BLAS on one
-thread; elsewhere the caller computes both halves, with the same calls
-and so the same bytes.  On a 2-core host with one BLAS thread this cuts
-perfbench `forecast` run_s by 22 % and `desk` run_s by 12 %.  Against
-one whole batch per step, `train` costs 19 % more pinned to one CPU,
-where both processes share it, and about 3 % more under two OpenBLAS
-threads, where no worker runs.  The time loop stays on one thread per
-process: two threads stepping half a batch each contend for the GIL at
-every step.
+thread, as under the command line, which runs BLAS on one thread, and
+pays only with a second CPU to run on (`_may_fork`); elsewhere the
+caller computes both halves, with the same calls and so the same bytes.
+On a 2-core host with one BLAS thread this cuts perfbench `forecast`
+run_s by 22 % and `desk` run_s by 12 %.  Against one whole batch per
+step, `train` costs about 3 % more under two OpenBLAS threads, where no
+worker runs.  The time loop stays on one thread per process: two
+threads stepping half a batch each contend for the GIL at every step.
 
 Training and rollout share one cell, `_step`, on gate-major weights
 (`_gate_major`).  The rollout runs each sliding window from the zero
@@ -240,43 +239,6 @@ def _gate_major(W: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(W.reshape(n, 4, H).transpose(1, 0, 2))
 
 
-class Workspace:
-    """Time-major buffers for batches of up to `batch` windows of T rows,
-    s channels and H hidden units:
-
-        x     (T, B, s)      inputs
-        z     (T, 4, B, H)   gate pre-activations, activated in place
-        cs    (T + 1, B, H)  cell states, row 0 the zero initial state
-        hs    (T + 1, B, H)  hidden states, likewise
-        tcs   (T, B, H)      tanh of cs[1:]
-
-    z is gate-major, so each gate of a step is one contiguous (B, H)
-    block and the elementwise work runs on contiguous arrays.  During
-    BPTT, z[t] is overwritten by the (B, 4H) gate gradients dz[t] once
-    the gates of step t are spent, so z.reshape(T, B, 4H) ends up as dz
-    and the backward pass needs no buffer of its own.  A batch
-    of B windows takes contiguous views of each buffer's leading part,
-    so one workspace serves every batch of a training run, the shorter
-    last one included."""
-
-    def __init__(self, batch: int, T: int, s: int, H: int):
-        self.batch, self.dims = batch, (T, s, H)
-        self._buffers = [np.empty(math.prod(shape)) for shape in self._shapes(batch)]
-
-    def _shapes(self, B: int) -> tuple[tuple[int, ...], ...]:
-        T, s, H = self.dims
-        return (T, B, s), (T, 4, B, H), (T + 1, B, H), (T + 1, B, H), (T, B, H)
-
-    def views(self, B: int, T: int, s: int, H: int) -> list[np.ndarray]:
-        """x, z, cs, hs, tcs for a batch of B windows."""
-        if not 1 <= B <= self.batch or (T, s, H) != self.dims:
-            raise ValidationError(f"a batch of {B} windows with (T, s, H) = {(T, s, H)} does "
-                                  f"not fit a workspace for up to {self.batch} windows "
-                                  f"with (T, s, H) = {self.dims}")
-        return [buf[:math.prod(shape)].reshape(shape)
-                for buf, shape in zip(self._buffers, self._shapes(B))]
-
-
 def _head(p: dict[str, np.ndarray], hd: np.ndarray
           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dense ReLU layer and linear output on final hidden states (B, H):
@@ -314,25 +276,24 @@ def init_model(input_dim: int, cfg: TrainConfig,
                      norm_std=np.asarray(norm_std, dtype=np.float64))
 
 
-def _forward_batch(model: LstmModel, xb: np.ndarray, mask: np.ndarray | None,
-                   workspace: Workspace | None = None) -> tuple[np.ndarray, dict]:
+def _forward_batch(model: LstmModel, xb: np.ndarray, mask: np.ndarray | None
+                   ) -> tuple[np.ndarray, dict]:
     """xb: normalized (B, T, s) batch; returns normalized outputs (B, s)
-    and the cache needed for backpropagation, which holds views of the
-    workspace (a fresh one when none is given).  `mask` (B, H) scales the
-    final hidden states for dropout; None switches dropout off.  Step t
-    reads cs[t], hs[t] and writes t + 1."""
+    and the cache needed for backpropagation, which holds the batch's
+    time-major buffers: inputs x (T, B, s), gates z (T, 4, B, H),
+    gate-major and activated in place, cell and hidden states cs, hs
+    (T + 1, B, H), row 0 the zero initial state, and tcs = tanh(cs[1:])
+    (T, B, H).  `mask` (B, H) scales the final hidden states for dropout;
+    None switches dropout off.  Step t reads cs[t], hs[t] and writes
+    t + 1."""
     B, T, s = xb.shape
     H = model.hidden_dim
     p = model.params
-    if workspace is None:
-        workspace = Workspace(B, T, s, H)
-    x, z, cs, hs, tcs = workspace.views(B, T, s, H)
-    x[...] = xb.transpose(1, 0, 2)
+    x = np.ascontiguousarray(xb.transpose(1, 0, 2))
     # the input projection of every step, per gate: z = x @ Wx + b
-    np.matmul(x[:, None], _gate_major(p["Wx"]), out=z)
+    z = np.matmul(x[:, None], _gate_major(p["Wx"]))
     z += p["b"].reshape(4, 1, H)
-    cs[0] = 0.0
-    hs[0] = 0.0
+    cs, hs, tcs = np.zeros((T + 1, B, H)), np.zeros((T + 1, B, H)), np.empty((T, B, H))
     Wh, zh = _gate_major(p["Wh"]), np.empty((4, B, H))
     for t in range(T):
         if t:  # the state starts at zero: step 0 has no recurrent term
@@ -418,17 +379,13 @@ def lstm_forward(model: LstmModel, sequence: np.ndarray) -> tuple[np.ndarray, di
 
 def loss_and_grads(model: LstmModel, xb: np.ndarray, yb: np.ndarray,
                    mask: np.ndarray | None = None,
-                   workspace: Workspace | None = None,
                    batch_rows: int | None = None) -> tuple[float, dict[str, np.ndarray]]:
     """Mean-squared error over a normalized batch plus its gradients.
     `mask` (B, H) is the dropout mask of the final hidden states, None for
     no dropout.  When the B rows are a part of a batch of `batch_rows`
     rows, the loss is their squared error over batch_rows * s, so the
-    parts' losses and gradients sum to the whole batch's.  The batch runs
-    on `workspace` when given (see `Workspace`), else on a fresh one; the
-    workspace is overwritten, and the result does not depend on what it
-    held."""
-    out, cache = _forward_batch(model, xb, mask, workspace)
+    parts' losses and gradients sum to the whole batch's."""
+    out, cache = _forward_batch(model, xb, mask)
     diff = out - yb
     n = diff.size if batch_rows is None else batch_rows * diff.shape[1]
     loss = float(np.sum(diff ** 2) / n)
@@ -483,7 +440,10 @@ def _may_fork() -> bool:
     """Whether `train` may fork its worker: only from a process that runs
     one thread.  A forked child holds only the forking thread, so a lock
     that another thread held stays locked in it.  False where there is no
-    /proc to count the threads in."""
+    /proc to count the threads in, and on a one-CPU affinity, where the
+    worker would only take turns with the caller on that CPU."""
+    if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) < 2:
+        return False
     try:
         return len(os.listdir("/proc/self/task")) == 1
     except OSError:
@@ -520,9 +480,9 @@ class _Worker:
     reaps it."""
 
     def __init__(self, model: LstmModel, inputs: np.ndarray, targets: np.ndarray,
-                 workspace: Workspace, rows: int):
+                 rows: int):
         self.model, self.inputs, self.targets = model, inputs, targets
-        self.workspace, self.pid, self.alive = workspace, None, False
+        self.pid, self.alive = None, False
         if rows and _may_fork():
             self._fork(rows)
 
@@ -551,8 +511,7 @@ class _Worker:
                 signal.signal(signal.SIGINT, signal.SIG_IGN)
                 os.close(self.cmd)
                 os.close(self.res)
-                self._serve(cmd, res, Workspace(rows, *self.inputs.shape[1:],
-                                                self.model.hidden_dim))
+                self._serve(cmd, res)
                 code = 0
             finally:
                 os._exit(code)
@@ -560,14 +519,14 @@ class _Worker:
         os.close(res)
         self.alive = True
 
-    def _serve(self, cmd: int, res: int, workspace: Workspace) -> None:
+    def _serve(self, cmd: int, res: int) -> None:
         """The worker's loop: one half per command, until end of file."""
         while len(message := os.read(cmd, 16)) == 16:
             n, batch_rows = struct.unpack("qq", message)
             sel = self.sel[:n]
             mask = self.mask[:n] if self.model.dropout_rate > 0.0 else None
             loss, grads = loss_and_grads(self.model, self.inputs[sel], self.targets[sel],
-                                         mask, workspace, batch_rows)
+                                         mask, batch_rows)
             for name, g in grads.items():
                 self.grads[name][...] = g
             os.write(res, struct.pack("d", loss))
@@ -599,7 +558,7 @@ class _Worker:
                 self.alive = False
             sel, mask, batch_rows = self.job
             loss, half = loss_and_grads(self.model, self.inputs[sel], self.targets[sel],
-                                        mask, self.workspace, batch_rows)
+                                        mask, batch_rows)
         for name, g in grads.items():
             g += half[name]
         return loss
@@ -648,11 +607,10 @@ def train(ts: TimeSeries, cfg: TrainConfig) -> tuple[LstmModel, list[float]]:
     inputs, targets = make_windows(model.normalize(train_rows), cfg.window)
 
     adam = AdamState(model.params)
-    H, keep, batch = cfg.hidden_dim, 1.0 - cfg.dropout, min(cfg.batch_size, n_train)
-    workspace = Workspace((batch + 1) // 2, cfg.window, s, H)
+    H, keep = cfg.hidden_dim, 1.0 - cfg.dropout
     history: list[float] = []
     scale2 = float(np.mean(model.norm_std ** 2))
-    with _Worker(model, inputs, targets, workspace, batch // 2) as worker:
+    with _Worker(model, inputs, targets, min(cfg.batch_size, n_train) // 2) as worker:
         for epoch in range(cfg.epochs):
             order = rng.permutation(n_train)
             sq_sum = 0.0
@@ -665,8 +623,7 @@ def train(ts: TimeSeries, cfg: TrainConfig) -> tuple[LstmModel, list[float]]:
                 if half < b:
                     worker.start(sel[half:], masks[1], b)
                 first = sel[:half]
-                loss, grads = loss_and_grads(model, inputs[first], targets[first], masks[0],
-                                             workspace, b)
+                loss, grads = loss_and_grads(model, inputs[first], targets[first], masks[0], b)
                 if half < b:
                     loss += worker.add_to(grads)
                 if not np.isfinite(loss):
@@ -710,14 +667,12 @@ def predict_multistep(model: LstmModel, seed_window: np.ndarray,
     seq[:T] = seed_window
     seq[T] = first
     h, c = np.zeros((T + 1, H)), np.zeros((T + 1, H))
-    # flat, so each wave's (4, B, H) view is contiguous, as in a Workspace
-    z, tc = np.empty(4 * T * H), np.empty((T, H))
+    tc = np.empty((T, H))
     # window 1 reads row 1 at wave 1; window horizon - 1 ends at wave T + horizon - 2
     for tau in range(1, T + horizon - 1 if horizon > 1 else 1):
         # window tau - p sits at position p, for p in lo..hi-1; each moves up one
         lo, hi = max(0, tau - horizon + 1), min(tau, T)
-        zt = z[:4 * (hi - lo) * H].reshape(4, hi - lo, H)
-        np.matmul(h[lo:hi], Wh, out=zt)
+        zt = np.matmul(h[lo:hi], Wh)
         zt += np.matmul(model.normalize(seq[tau:tau + 1]), Wx) + b
         _step(zt, c[lo:hi], c[lo + 1:hi + 1], tc[:hi - lo], h[lo + 1:hi + 1])
         if hi == T:
