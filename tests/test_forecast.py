@@ -358,6 +358,39 @@ def serial_loss_and_grads(model, xb, yb, mask, batch_rows=None):
     return float(np.sum(diff ** 2) / n), grads
 
 
+@settings(max_examples=40, deadline=None)
+@given(B=st.integers(1, 6), extra=st.integers(0, 3), T=st.integers(1, 8),
+       s=st.integers(1, 4), H=st.integers(1, 6), dropout=st.sampled_from([0.0, 0.3]),
+       seed=st.integers(0, 2**32 - 1))
+@example(B=1, extra=2, T=1, s=1, H=1, dropout=0.0, seed=0)
+@example(B=5, extra=3, T=8, s=3, H=6, dropout=0.3, seed=1)
+def test_workspace_reuse_matches_fresh_and_per_step_reference(B, extra, T, s, H,
+                                                              dropout, seed):
+    """A batch run right after a larger batch of large inputs gives the
+    bytes it gives when run first, and the per-step loop's values."""
+    model = random_model(s, H, 3, seed)
+    model.dropout_rate = dropout
+    data = np.random.default_rng(seed + 1)
+    x_big = 1e3 * data.standard_normal((B + extra, T, s))
+    y_big = data.standard_normal((B + extra, s))
+    mask_big = dropout_mask(model, data, B + extra)
+    xb, yb = data.standard_normal((B, T, s)), data.standard_normal((B, s))
+    mask = dropout_mask(model, np.random.default_rng(seed), B)
+    fresh = loss_and_grads(model, xb, yb, mask)
+    big = loss_and_grads(model, x_big, y_big, mask_big)
+    want_big = serial_loss_and_grads(model, x_big, y_big, mask_big)
+    assert big[0] == want_big[0]
+    for k, g in want_big[1].items():
+        np.testing.assert_array_equal(big[1][k], g, err_msg=k)
+    reused = loss_and_grads(model, xb, yb, mask)
+    want_loss, want = reference_loss_and_grads(model, xb, yb, mask)
+    assert reused[0] == fresh[0]
+    assert abs(reused[0] - want_loss) <= 1e-12 * abs(want_loss)
+    for k, g in want.items():
+        np.testing.assert_array_equal(reused[1][k], fresh[1][k])
+        assert np.abs(reused[1][k] - g).max() <= 1e-12 * np.abs(g).max(), k
+
+
 @settings(max_examples=30, deadline=None)
 @given(B=st.integers(1, 40), T=st.integers(1, 60), s=st.integers(1, 40),
        H=st.integers(1, 160), dropout=st.sampled_from([0.0, 0.2]),
