@@ -26,8 +26,9 @@ class DegenerateInputError(ValidationError):
 
 
 class TrainingDivergenceError(SparseSenseError):
-    """Training loss became non-finite. Carries the offending epoch index."""
+    """Training loss, or a trained model's forecast, became non-finite.
+    Carries the offending epoch index, None for a forecast."""
 
-    def __init__(self, epoch: int, message: str | None = None):
+    def __init__(self, epoch: int | None, message: str | None = None):
         self.epoch = epoch
         super().__init__(message or f"training diverged at epoch {epoch}")

@@ -19,7 +19,14 @@ are each one GEMM or one reduction over all T * B rows, not T rank-B
 updates (Appleyard, Kočiský & Blunsom, arXiv:1604.01946), with no
 separate (T, B, 4H) buffer (in the spirit of Gruslys et al.,
 arXiv:1606.03401, but with no recomputation).  Besides those five, a
-batch allocates no buffer that grows with T.
+batch allocates no buffer that grows with T.  The recurrent gradient
+of a step, dh = sum over the gates g of dz_g @ Wh_g^T, is four
+(B, H) x (H, H) products, one per gate, summed in gate order, not one
+(B, 4H) x (4H, H) product: the shape of a recurrent GEMM sets its cost
+(ibid.), and at the 16-row half batch each process runs, OpenBLAS takes
+about twice as long over K = 4H as over four products with K = H.  The
+products land in the spent gate slots of step t before dz[t] does, and
+the per-gate copy of Wh^T lives for one backward pass.
 
 `train` runs on both cores by synchronous data parallelism (Goyal et
 al., arXiv:1706.02677): a batch's gradient is the first ceil(b / 2)
@@ -152,12 +159,25 @@ class LstmModel:
 
 
 def rmse(pred, truth) -> float:
-    """Root of the mean squared entrywise difference."""
+    """Root of the mean squared entrywise difference.  Where a square
+    overflows, the differences are scaled by a power of two first, which
+    is exact, so the result is finite whenever pred - truth is, and
+    otherwise equals the unscaled expression bit for bit.  Raises
+    ValidationError where pred - truth is empty or not finite."""
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
     if pred.shape != truth.shape:
         raise ValidationError(f"shape mismatch {pred.shape} vs {truth.shape}")
-    return float(np.sqrt(np.mean((pred - truth) ** 2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = pred - truth
+        value = float(np.sqrt(np.mean(diff ** 2)))
+        if not math.isfinite(value) and diff.size and np.isfinite(diff).all():
+            # 2**-e brings the largest |difference| into [0.5, 1): no square overflows
+            e = math.frexp(float(np.max(np.abs(diff))))[1]
+            value = float(np.ldexp(np.sqrt(np.mean(np.ldexp(diff, -e) ** 2)), e))
+    if not math.isfinite(value):
+        raise ValidationError("prediction - truth is empty or not finite")
+    return value
 
 
 def interpolate_uniform(ts: TimeSeries, dt: float) -> TimeSeries:
@@ -309,26 +329,37 @@ def _forward_batch(model: LstmModel, xb: np.ndarray, mask: np.ndarray | None
 def _backward_batch(model: LstmModel, cache: dict, dout: np.ndarray) -> dict[str, np.ndarray]:
     """Gradients of the loss wrt every parameter, given dL/d(output).
     This spends the forward cache: BPTT forms the gate gradients of step
-    t in one (B, 4H) scratch block, which feeds the dh product, and then
-    copies them over the gates z[t], which nothing reads again.  The
-    weight gradients of the recurrent layer are then one GEMM or one
-    reduction each over all T * B rows of z, read as dz (T, B, 4H)."""
+    t in one (B, 4H) scratch block and copies them over the gates z[t],
+    which nothing reads again.  Before that copy, the gate slots of z[t]
+    hold the four per-gate products dz_g @ Wh_g^T, (B, H) x (H, H) each,
+    against one contiguous (4, H, H) copy of Wh^T, and dh is their sum
+    in the order i, f, g, o: at B 16, one (B, 4H) x (4H, H) product takes
+    BLAS about twice the time of the four with K = H.  The head's
+    activations leave the cache before BPTT and the copy is freed before
+    the dWh product, which keeps the batch within its five buffers and
+    1 MB.  The weight gradients of the
+    recurrent layer are one GEMM or one reduction each over all T * B
+    rows of z, read as dz (T, B, 4H)."""
     p = model.params
     x, z, cs, hs, tcs = (cache[k] for k in ("x", "gates", "cs", "hs", "tcs"))
     T, B, s = x.shape
     H = model.hidden_dim
-    grads = {"bo": dout.sum(axis=0), "Wo": cache["dense"].T @ dout}
+    # the head's activations are spent once its gradients are formed
+    dense, pre_dense, hd = (cache.pop(k) for k in ("dense", "pre_dense", "hd"))
+    grads = {"bo": dout.sum(axis=0), "Wo": dense.T @ dout}
     ddense = dout @ p["Wo"].T
-    ddense = np.where(cache["pre_dense"] > 0, ddense, 0.0)
+    ddense = np.where(pre_dense > 0, ddense, 0.0)
     grads["bd"] = ddense.sum(axis=0)
-    grads["Wd"] = cache["hd"].T @ ddense
+    grads["Wd"] = hd.T @ ddense
     dh = ddense @ p["Wd"].T
+    del dense, pre_dense, hd, ddense
     if cache["mask"] is not None:
         dh *= cache["mask"]
     dc = np.zeros((B, H))
     tmp, tmp2, dzt = np.empty((B, H)), np.empty((B, H)), np.empty((B, 4 * H))
-    dzi, dzf, dzg, dzo = dzt[:, :H], dzt[:, H:2 * H], dzt[:, 2 * H:3 * H], dzt[:, 3 * H:]
-    WhT = p["Wh"].T
+    dzi, dzf, dzg, dzo = dz_gates = [dzt[:, k * H:(k + 1) * H] for k in range(4)]
+    # WhT[k] = Wh_k^T, the transpose of gate k's (H, H) block
+    WhT = np.ascontiguousarray(p["Wh"].reshape(H, 4, H).transpose(1, 2, 0))
     for t in range(T - 1, -1, -1):
         i, f, g, o = z[t]
         tc = tcs[t]
@@ -352,10 +383,15 @@ def _backward_batch(model: LstmModel, cache: dict, dout: np.ndarray) -> dict[str
         np.multiply(dc, i, out=tmp)
         np.multiply(tmp, np.subtract(1.0, np.multiply(g, g, out=tmp2), out=tmp2), out=dzg)
         if t:  # nothing reads the gradients wrt the zero initial state
-            np.matmul(dzt, WhT, out=dh)
             dc *= f
-        z[t].reshape(B, 4 * H)[...] = dzt  # the gates of step t are spent
-    del dh, dc, tmp, tmp2, dzt, dzi, dzf, dzg, dzo  # free BPTT's scratch before dWh
+            # the gates of step t are spent: their slots take the products
+            for k, dzk in enumerate(dz_gates):
+                np.matmul(dzk, WhT[k], out=z[t, k])
+            np.add(z[t, 0], z[t, 1], out=dh)
+            dh += z[t, 2]
+            dh += z[t, 3]
+        z[t].reshape(B, 4 * H)[...] = dzt
+    del dh, dc, tmp, tmp2, dzt, dz_gates, dzi, dzf, dzg, dzo, WhT  # free BPTT's scratch before dWh
     dz = z.reshape(T, B, 4 * H)
     rows = dz.reshape(T * B, 4 * H)
     # hs[0] is the zero state, so step 0 adds nothing to dWh
@@ -521,15 +557,16 @@ class _Worker:
 
     def _serve(self, cmd: int, res: int) -> None:
         """The worker's loop: one half per command, until end of file."""
-        while len(message := os.read(cmd, 16)) == 16:
-            n, batch_rows = struct.unpack("qq", message)
-            sel = self.sel[:n]
-            mask = self.mask[:n] if self.model.dropout_rate > 0.0 else None
-            loss, grads = loss_and_grads(self.model, self.inputs[sel], self.targets[sel],
-                                         mask, batch_rows)
-            for name, g in grads.items():
-                self.grads[name][...] = g
-            os.write(res, struct.pack("d", loss))
+        with np.errstate(over="ignore", invalid="ignore"):  # as `train`'s batch loop
+            while len(message := os.read(cmd, 16)) == 16:
+                n, batch_rows = struct.unpack("qq", message)
+                sel = self.sel[:n]
+                mask = self.mask[:n] if self.model.dropout_rate > 0.0 else None
+                loss, grads = loss_and_grads(self.model, self.inputs[sel], self.targets[sel],
+                                             mask, batch_rows)
+                for name, g in grads.items():
+                    self.grads[name][...] = g
+                os.write(res, struct.pack("d", loss))
 
     def start(self, sel: np.ndarray, mask: np.ndarray | None, batch_rows: int) -> None:
         """Hand over the windows `sel` of a batch of `batch_rows`, with
@@ -610,7 +647,9 @@ def train(ts: TimeSeries, cfg: TrainConfig) -> tuple[LstmModel, list[float]]:
     H, keep = cfg.hidden_dim, 1.0 - cfg.dropout
     history: list[float] = []
     scale2 = float(np.mean(model.norm_std ** 2))
-    with _Worker(model, inputs, targets, min(cfg.batch_size, n_train) // 2) as worker:
+    # a diverging run overflows before its loss does: the loss check reports it
+    with (_Worker(model, inputs, targets, min(cfg.batch_size, n_train) // 2) as worker,
+          np.errstate(over="ignore", invalid="ignore")):
         for epoch in range(cfg.epochs):
             order = rng.permutation(n_train)
             sq_sum = 0.0
@@ -660,23 +699,28 @@ def predict_multistep(model: LstmModel, seed_window: np.ndarray,
     """
     if horizon < 1:
         raise ValidationError("horizon must be at least 1")
-    first, _ = lstm_forward(model, seed_window)
-    T, H, p = len(seed_window), model.hidden_dim, model.params
-    Wx, Wh, b = _gate_major(p["Wx"]), _gate_major(p["Wh"]), p["b"].reshape(4, 1, H)
-    seq = np.empty((T + horizon, model.input_dim))
-    seq[:T] = seed_window
-    seq[T] = first
-    h, c = np.zeros((T + 1, H)), np.zeros((T + 1, H))
-    tc = np.empty((T, H))
-    # window 1 reads row 1 at wave 1; window horizon - 1 ends at wave T + horizon - 2
-    for tau in range(1, T + horizon - 1 if horizon > 1 else 1):
-        # window tau - p sits at position p, for p in lo..hi-1; each moves up one
-        lo, hi = max(0, tau - horizon + 1), min(tau, T)
-        zt = np.matmul(h[lo:hi], Wh)
-        zt += np.matmul(model.normalize(seq[tau:tau + 1]), Wx) + b
-        _step(zt, c[lo:hi], c[lo + 1:hi + 1], tc[:hi - lo], h[lo + 1:hi + 1])
-        if hi == T:
-            seq[tau + 1] = model.denormalize(_head(p, h[T:])[2][0])
+    # a model whose weights overflow the rollout gives a non-finite row, checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        first, _ = lstm_forward(model, seed_window)
+        T, H, p = len(seed_window), model.hidden_dim, model.params
+        Wx, Wh, b = _gate_major(p["Wx"]), _gate_major(p["Wh"]), p["b"].reshape(4, 1, H)
+        seq = np.empty((T + horizon, model.input_dim))
+        seq[:T] = seed_window
+        seq[T] = first
+        h, c = np.zeros((T + 1, H)), np.zeros((T + 1, H))
+        tc = np.empty((T, H))
+        # window 1 reads row 1 at wave 1; window horizon - 1 ends at wave T + horizon - 2
+        for tau in range(1, T + horizon - 1 if horizon > 1 else 1):
+            # window tau - p sits at position p, for p in lo..hi-1; each moves up one
+            lo, hi = max(0, tau - horizon + 1), min(tau, T)
+            zt = np.matmul(h[lo:hi], Wh)
+            zt += np.matmul(model.normalize(seq[tau:tau + 1]), Wx) + b
+            _step(zt, c[lo:hi], c[lo + 1:hi + 1], tc[:hi - lo], h[lo + 1:hi + 1])
+            if hi == T:
+                seq[tau + 1] = model.denormalize(_head(p, h[T:])[2][0])
+    if not np.isfinite(seq[T:]).all():
+        raise TrainingDivergenceError(None, f"the model's {horizon}-step forecast is not "
+                                            "finite: its weights make the rollout overflow")
     return seq[T:]
 
 

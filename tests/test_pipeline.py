@@ -287,7 +287,6 @@ def test_cli_dual_residual_is_null_where_the_multiplier_vanishes(tmp_path):
     assert all(d == "null" or math.isfinite(float(d)) for d in duals)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_training_divergence_exit_3(workspace, tmp_path, capsys):
     cfg_path, cfg, out = mutable_copy(workspace, tmp_path)
     hot = tmp_path / "hot.cfg"
@@ -295,6 +294,8 @@ def test_cli_training_divergence_exit_3(workspace, tmp_path, capsys):
                                      "train.learning_rate = 1e200")
                    + "train.clip_norm = 0\n")
     assert cli.main(["train", "--config", str(hot), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("bad_line", [
@@ -536,8 +537,67 @@ def test_cli_input_out_of_float_range_exit_2(tmp_path, capsys, extra, names):
     assert names in err
 
 
-SYNTH_40_CFG = SMALL_CFG.replace("synth.m = 60", "synth.m = 40").replace(
-    "synth.n = 80", "synth.n = 120").replace("synth.scenario = 2", "synth.scenario = 4")
+RUN_40_CFG = SMALL_CFG.replace("synth.m = 60", "synth.m = 40").replace(
+    "synth.n = 80", "synth.n = 120")
+ONE_BATCH = {"train.epochs = 2": "train.epochs = 1",
+             "train.batch_size = 16": "train.batch_size = 1000"}
+
+
+@pytest.fixture(scope="module")
+def compressed_40(tmp_path_factory):
+    """The synth, clean and compress outputs of RUN_40_CFG."""
+    out = tmp_path_factory.mktemp("run40") / "out"
+    out.mkdir()
+    cfg_path = out.parent / "run.cfg"
+    cfg_path.write_text(RUN_40_CFG)
+    cfg = parse_config(cfg_path)
+    for stage in ("synth", "clean", "compress"):
+        pipeline.STAGE_FUNCS[stage](cfg, out)
+    return out
+
+
+def _raise_on_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("lr, one_batch, stages, code", [
+    # one update leaves finite weights near 1e170, whose forecast overflows
+    ("1e170", True, ["train", "predict"], 3),
+    # a forecast near 1e200 is finite, but the squares of its errors are not
+    ("1e100", True, ["train", "predict", "evaluate"], 0),
+    # the second batch's loss is not finite; the worker runs the halves too
+    ("1e308", False, ["train"], 3),
+])
+def test_cli_overflowing_model_exits_with_one_line_at_most(compressed_40, tmp_path, lr,
+                                                          one_batch, stages, code):
+    """Each stage runs as the command line: the worker's stderr counts too."""
+    out = tmp_path / "out"
+    shutil.copytree(compressed_40, out)
+    text = RUN_40_CFG.replace("train.learning_rate = 0.001", f"train.learning_rate = {lr}")
+    for old, new in ONE_BATCH.items() if one_batch else ():
+        text = text.replace(old, new)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    src = Path(pipeline.__file__).resolve().parents[1]
+    for stage in stages:
+        child = subprocess.run(
+            [sys.executable, "-m", "sparsesense.cli", stage, "--config", str(cfg),
+             "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+            timeout=300)
+        if stage != stages[-1]:
+            assert (child.returncode, child.stderr) == (0, ""), stage
+    assert child.returncode == code, child.stderr
+    if code:
+        assert child.stderr.startswith("error:") and child.stderr.count("\n") == 1, child.stderr
+        assert not (out / f"report_{stages[-1]}.json").exists()
+    else:
+        assert child.stderr == ""
+    for report in out.glob("report_*.json"):
+        json.loads(report.read_text(), parse_constant=_raise_on_constant)
+
+
+SYNTH_40_CFG = RUN_40_CFG.replace("synth.scenario = 2", "synth.scenario = 4")
 
 
 @pytest.mark.parametrize("extra", [
