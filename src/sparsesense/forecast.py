@@ -337,9 +337,8 @@ def _backward_batch(model: LstmModel, cache: dict, dout: np.ndarray) -> dict[str
     BLAS about twice the time of the four with K = H.  The head's
     activations leave the cache before BPTT and the copy is freed before
     the dWh product, which keeps the batch within its five buffers and
-    1 MB.  The weight gradients of the
-    recurrent layer are one GEMM or one reduction each over all T * B
-    rows of z, read as dz (T, B, 4H)."""
+    1 MB.  The weight gradients of the recurrent layer are one GEMM or
+    one reduction each over all T * B rows of z, read as dz (T, B, 4H)."""
     p = model.params
     x, z, cs, hs, tcs = (cache[k] for k in ("x", "gates", "cs", "hs", "tcs"))
     T, B, s = x.shape
