@@ -12,8 +12,8 @@ as one `error:` line, not a traceback.
 The command line runs BLAS on one thread: importing this module before
 numpy sets the thread count, so the artifacts do not depend on the
 host's core count, and `forecast.train` can fork its worker, which it
-does only from a process that runs one thread.  The package imports no
-numpy until one of its names is used (see `__init__`).
+does only from a process that runs one thread.  The package itself
+imports nothing, so numpy loads here first.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from .decompose import MU_SCALE, RpcaConfig
-from .errors import BoundsError, ConstraintError, ValidationError
+from .errors import ValidationError
 from .forecast import TrainConfig
 from .synth import GroundTruthSpec, Scenario, ScenarioSpec
 
@@ -62,10 +62,10 @@ class RunConfig:
         if min(gt.seed, self.scenario.seed) < 0:
             raise ValidationError("synth.seed must be non-negative")
         if not 1 <= self.r <= self.s:
-            raise ConstraintError(f"need 1 <= osp.r <= osp.s, got r={self.r}, s={self.s}")
+            raise ValidationError(f"need 1 <= osp.r <= osp.s, got r={self.r}, s={self.s}")
         if self.r > min(gt.m, gt.n) or self.s > gt.m:
-            raise BoundsError(f"need osp.r <= min(synth.m, synth.n) and osp.s <= synth.m, "
-                              f"got r={self.r}, s={self.s}, m={gt.m}, n={gt.n}")
+            raise ValidationError(f"need osp.r <= min(synth.m, synth.n) and osp.s <= synth.m, "
+                                  f"got r={self.r}, s={self.s}, m={gt.m}, n={gt.n}")
         if not (self.dt > 0 and 0 < self.train_dt < math.inf and 0.0 <= self.time_jitter < 1.0):
             raise ValidationError(
                 "need synth.dt > 0, a finite train.dt > 0 and synth.time_jitter in [0, 1)")

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BoundsError, ValidationError
+from .errors import ValidationError
 from .linalg import (
     TOPK_RTOL,
     singular_value_threshold,
@@ -108,7 +108,7 @@ def pca_reconstruct(X, r: int) -> np.ndarray:
     the means added back."""
     X = validate_matrix(X)
     if not 1 <= r <= min(X.shape):
-        raise BoundsError(f"rank {r} outside [1, {min(X.shape)}]")
+        raise ValidationError(f"rank {r} outside [1, {min(X.shape)}]")
     means = X.mean(axis=0)
     return svd_truncated(X - means, r).reconstruct() + means
 

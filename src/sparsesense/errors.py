@@ -10,19 +10,8 @@ class SparseSenseError(Exception):
 
 
 class ValidationError(SparseSenseError):
-    """Input violates a contract (non-finite entries, shape mismatch, bad config)."""
-
-
-class BoundsError(ValidationError):
-    """A rank / index argument is outside its admissible range."""
-
-
-class ConstraintError(ValidationError):
-    """A structural constraint is violated (e.g. sensor count below mode count)."""
-
-
-class DegenerateInputError(ValidationError):
-    """Input is degenerate for the requested operation (e.g. all-zero matrix)."""
+    """Input violates a contract (non-finite entries, shape mismatch, a rank
+    out of range, bad config)."""
 
 
 class TrainingDivergenceError(SparseSenseError):

@@ -734,6 +734,10 @@ def load_model(path) -> LstmModel:
     (s, H, D, out, dropout), (mean, std, *weights) = matio.read_record(path, _MODEL)
     if out != s:
         raise ValidationError(f"{path}: output width {out} differs from input width {s}")
+    if not all(np.isfinite(a).all() for a in (mean, std, *weights)):
+        raise ValidationError(f"{path}: model holds non-finite entries")
+    if not (std > 0).all():
+        raise ValidationError(f"{path}: normalization std must be positive")
     return LstmModel(input_dim=s, hidden_dim=H, dense_dim=D,
                      params=dict(zip(_PARAM_ORDER, weights)), dropout_rate=dropout,
                      norm_mean=mean, norm_std=std)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BoundsError, DegenerateInputError, ValidationError
+from .errors import ValidationError
 from .rng import substream
 
 #: relative gap in a greedy score below which two candidates count as tied
@@ -74,7 +74,7 @@ def svd_truncated(A, r: int) -> SvdFactors:
     entry of each U column is positive, its V column flipped with it."""
     A = validate_matrix(A)
     if not 1 <= r <= min(A.shape):
-        raise BoundsError(f"rank {r} outside [1, {min(A.shape)}]")
+        raise ValidationError(f"rank {r} outside [1, {min(A.shape)}]")
     f = svd_topk(A, r, check_finite=False)
     sign = np.where(f.U[np.argmax(np.abs(f.U), axis=0), np.arange(r)] < 0, -1.0, 1.0)
     return replace(f, U=f.U * sign, V=f.V * sign)
@@ -212,7 +212,7 @@ def qr_column_pivot(A) -> tuple[np.ndarray, np.ndarray]:
         chosen[j] = True
         pivots.append(j)
     if not pivots:
-        raise DegenerateInputError("all-zero matrix has no pivot order")
+        raise ValidationError("all-zero matrix has no pivot order")
     return np.concatenate([pivots, np.flatnonzero(~chosen)]).astype(np.int64), rdiag
 
 
@@ -222,7 +222,7 @@ def pseudoinverse(A, rcond: float = DEFAULT_RCOND) -> np.ndarray:
     A = validate_matrix(A)
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     if s[0] == 0:
-        raise DegenerateInputError("all-zero matrix has no pseudoinverse")
+        raise ValidationError("all-zero matrix has no pseudoinverse")
     cutoff = rcond * s[0]
     inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
     return (Vt.T * inv) @ U.T

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matio
-from .errors import BoundsError, ConstraintError, ValidationError
+from .errors import ValidationError
 from .linalg import (greedy_argmax, pseudoinverse, qr_column_pivot,
                      svd_truncated, validate_matrix)
 
@@ -61,13 +61,13 @@ def fit_basis(L, r: int, s: int | None = None) -> SensorBasis:
     L = validate_matrix(L)
     m = L.shape[0]
     if not 1 <= r <= min(L.shape):
-        raise BoundsError(f"mode count {r} outside [1, {min(L.shape)}]")
+        raise ValidationError(f"mode count {r} outside [1, {min(L.shape)}]")
     if s is None:
         s = r
     if s < r:
-        raise ConstraintError(f"sensor count {s} must be at least the mode count {r}")
+        raise ValidationError(f"sensor count {s} must be at least the mode count {r}")
     if s > m:
-        raise BoundsError(f"sensor count {s} exceeds spatial dimension {m}")
+        raise ValidationError(f"sensor count {s} exceeds spatial dimension {m}")
     modes = svd_truncated(L, r).U
     pivots, _ = qr_column_pivot(modes.T)
     indices = list(pivots[:r])
@@ -124,5 +124,7 @@ def save_basis(basis: SensorBasis, path) -> None:
 
 def load_basis(path) -> SensorBasis:
     _, (modes, indices, theta_pinv) = matio.read_record(path, _BASIS)
+    if not (np.isfinite(modes).all() and np.isfinite(theta_pinv).all()):
+        raise ValidationError(f"{path}: basis holds non-finite entries")
     return SensorBasis(modes=modes, sensor_indices=indices.astype(np.int64),
                        theta_pinv=theta_pinv)

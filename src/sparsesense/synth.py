@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundsError, ValidationError
+from .errors import ValidationError
 from .linalg import validate_matrix
 from .rng import NORMAL_BOUND, Xoshiro256pp, substream
 
@@ -47,7 +47,7 @@ class GroundTruthSpec:
         if self.m < 1 or self.n < 1:
             raise ValidationError("dimensions must be positive")
         if not 1 <= self.rank <= min(self.m, self.n):
-            raise BoundsError(f"rank {self.rank} outside [1, {min(self.m, self.n)}]")
+            raise ValidationError(f"rank {self.rank} outside [1, {min(self.m, self.n)}]")
         if not self.smoothness > 0:
             raise ValidationError("smoothness must be positive")
         # a bump is exp(-d**2 / (2 w**2)) at row distances d < m, for widths

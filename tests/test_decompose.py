@@ -12,7 +12,7 @@ from sparsesense.decompose import (
     pca_reconstruct,
     rpca,
 )
-from sparsesense.errors import BoundsError, ValidationError
+from sparsesense.errors import ValidationError
 from sparsesense.linalg import singular_value_threshold, svd_topk
 from sparsesense.synth import GroundTruthSpec, Scenario, ScenarioSpec, apply_scenario, generate_ground_truth
 
@@ -35,7 +35,7 @@ def test_pca_constant_matrix():
 
 
 def test_pca_rank_bounds():
-    with pytest.raises(BoundsError):
+    with pytest.raises(ValidationError, match=r"^rank 5 outside \[1, 3\]$"):
         pca_reconstruct(np.eye(3), 5)
 
 

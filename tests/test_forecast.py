@@ -282,6 +282,18 @@ def reference_loss_and_grads(model, xb, yb, mask):
     return float(np.mean(diff ** 2)), grads
 
 
+def assert_grads_near_reference(grads, ref, model, xb, mask):
+    """Each gradient within 1e-12 of the per-step loop's `ref`, relative to
+    the larger of max|ref| and max|g0|, g0 the loop's gradient at zero
+    targets.  The mask and the ReLU pattern do not depend on the targets,
+    so g0 has the size of the terms a gradient is rounded from; where most
+    ReLU units are off, |ref| can fall well below it."""
+    _, zero = reference_loss_and_grads(model, xb, np.zeros((xb.shape[0], model.input_dim)), mask)
+    for k, g in ref.items():
+        bound = 1e-12 * max(np.abs(g).max(), np.abs(zero[k]).max())
+        assert np.abs(grads[k] - g).max() <= bound, k
+
+
 def test_training_batch_working_set_is_its_five_buffers():
     # the shipped batch of 32, and the half batch of 16 each process runs
     T, s, H = 50, 16, 128
@@ -393,9 +405,9 @@ def test_workspace_reuse_matches_fresh_and_per_step_reference(B, extra, T, s, H,
     want_loss, want = reference_loss_and_grads(model, xb, yb, mask)
     assert reused[0] == fresh[0]
     assert abs(reused[0] - want_loss) <= 1e-12 * abs(want_loss)
-    for k, g in want.items():
+    for k in want:
         np.testing.assert_array_equal(reused[1][k], fresh[1][k])
-        assert np.abs(reused[1][k] - g).max() <= 1e-12 * np.abs(g).max(), k
+    assert_grads_near_reference(reused[1], want, model, xb, mask)
 
 
 @settings(max_examples=30, deadline=None)
@@ -412,6 +424,8 @@ def test_workspace_reuse_matches_fresh_and_per_step_reference(B, extra, T, s, H,
 @example(B=15, T=50, s=16, H=128, dropout=0.2, seed=1)
 @example(B=16, T=50, s=16, H=128, dropout=0.2, seed=2)
 @example(B=17, T=50, s=16, H=128, dropout=0.0, seed=3)
+# most ReLU units off: bd's 3.1e-15 error exceeds 1e-12 x max|bd|
+@example(B=1, T=54, s=12, H=121, dropout=0.2, seed=23014296)
 def test_overlapped_batch_equals_the_serial_batch_bit_for_bit(B, T, s, H, dropout, seed):
     model = random_model(s, H, 5, seed)
     model.dropout_rate = dropout
@@ -443,8 +457,7 @@ def test_overlapped_batch_equals_the_serial_batch_bit_for_bit(B, T, s, H, dropou
     loss, grads = loss_and_grads(model, xb, yb, mask)
     ref_loss, ref = reference_loss_and_grads(model, xb, yb, mask)
     assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
-    for k, g in ref.items():
-        assert np.abs(grads[k] - g).max() <= 1e-12 * np.abs(g).max(), k
+    assert_grads_near_reference(grads, ref, model, xb, mask)
 
 
 class Interrupted(Exception):

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sparsesense.errors import BoundsError, ConstraintError, ValidationError
+from sparsesense.errors import ValidationError
 from sparsesense.matio import write_matrix
 from sparsesense.osp import (
     SensorBasis,
@@ -82,11 +82,11 @@ def test_oversampled_fit_memory_is_linear_in_pixels():
 
 def test_fit_basis_constraints():
     X, _ = subspace_data(20, 3, 10)
-    with pytest.raises(ConstraintError):
+    with pytest.raises(ValidationError, match="^sensor count 2 must be at least the mode count 3$"):
         fit_basis(X, r=3, s=2)
-    with pytest.raises(BoundsError):
+    with pytest.raises(ValidationError, match=r"^mode count 0 outside \[1, 10\]$"):
         fit_basis(X, r=0, s=1)
-    with pytest.raises(BoundsError):
+    with pytest.raises(ValidationError, match=r"^sensor count 21 exceeds spatial dimension 20$"):
         fit_basis(X, r=2, s=21)
 
 

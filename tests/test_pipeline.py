@@ -230,14 +230,17 @@ def test_cli_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
 
 def test_cli_import_loads_neither_concurrent_futures_nor_logging():
     # a guard on set-up time: after numpy, importing concurrent.futures (which
-    # pulls in logging) takes 10-12 ms, logging alone about 7 ms
+    # pulls in logging) takes 10-12 ms, logging alone about 7 ms.  And the
+    # package alone must load no numpy: the CLI pins BLAS to one thread only
+    # if it runs before numpy loads
     src = Path(pipeline.__file__).resolve().parents[1]
     child = subprocess.run(
-        [sys.executable, "-c", "import sys, sparsesense.cli; "
+        [sys.executable, "-c", "import sys, sparsesense; print('numpy' in sys.modules); "
+         "import sparsesense.cli; "
          "print(sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules))"],
         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60)
     assert child.returncode == 0, child.stderr
-    assert child.stdout.strip() == "[]"
+    assert child.stdout.split() == ["False", "[]"]
 
 
 def test_cli_unknown_config_key_exit_2(tmp_path, capsys):
@@ -659,6 +662,34 @@ def test_cli_predict_model_output_width_mismatch_exit_2(workspace, tmp_path, cap
     assert cli.main(["predict", "--config", str(cfg_path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert pipeline.MODEL_FILE in err and "Traceback" not in err
+
+
+def _nan_first(a: np.ndarray) -> np.ndarray:
+    a = a.copy()
+    a.flat[0] = np.nan
+    return a
+
+
+@pytest.mark.parametrize("artifact, damage", [
+    (pipeline.MODEL_FILE, lambda m: dataclasses.replace(m, norm_std=np.zeros_like(m.norm_std))),
+    (pipeline.MODEL_FILE, lambda m: dataclasses.replace(
+        m, params={**m.params, "Wd": _nan_first(m.params["Wd"])})),
+    (pipeline.BASIS_FILE, lambda b: dataclasses.replace(b, theta_pinv=_nan_first(b.theta_pinv))),
+], ids=["norm_std_zero", "nan_in_Wd", "nan_in_theta_pinv"])
+def test_cli_predict_damaged_model_or_basis_exit_2(workspace, tmp_path, capsys, artifact,
+                                                    damage):
+    """A model or basis that loads but cannot give a finite forecast is
+    rejected on load; a RuntimeWarning would fail the test (pyproject)."""
+    cfg_path, _, out = mutable_copy(workspace, tmp_path)
+    load, save = ((forecast.load_model, forecast.save_model) if artifact == pipeline.MODEL_FILE
+                  else (osp.load_basis, osp.save_basis))
+    save(damage(load(out / artifact)), out / artifact)
+    for name in (pipeline.PRED_SPARSE_FILE, pipeline.PRED_FULL_FILE):
+        (out / name).unlink()
+    assert cli.main(["predict", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and artifact in err[0]
+    assert not list(out.glob("pred_*.rbdm"))
 
 
 SPANS_CFG = """\

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparsesense.errors import BoundsError, ValidationError
+from sparsesense.errors import ValidationError
 from sparsesense.rng import Xoshiro256pp
 from sparsesense.synth import (
     GroundTruthSpec,
@@ -38,7 +38,7 @@ def test_ground_truth_deterministic():
 
 
 def test_ground_truth_rank_bounds():
-    with pytest.raises(BoundsError):
+    with pytest.raises(ValidationError, match=r"^rank 5 outside \[1, 4\]$"):
         generate_ground_truth(GroundTruthSpec(m=5, n=4, rank=5, seed=0))
 
 
